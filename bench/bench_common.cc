@@ -1,5 +1,6 @@
 #include "bench/bench_common.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -70,8 +71,12 @@ void WriteBenchJson(
   PEREACH_CHECK(f != nullptr && "cannot open --json output path");
   std::fprintf(f, "{\"bench\": \"%s\", \"metrics\": {", name.c_str());
   for (size_t i = 0; i < metrics.size(); ++i) {
-    std::fprintf(f, "%s\"%s\": %.6g", i == 0 ? "" : ", ",
-                 metrics[i].first.c_str(), metrics[i].second);
+    std::fprintf(f, "%s\"%s\": ", i == 0 ? "" : ", ", metrics[i].first.c_str());
+    if (std::isfinite(metrics[i].second)) {
+      std::fprintf(f, "%.6g", metrics[i].second);
+    } else {
+      std::fputs("null", f);
+    }
   }
   std::fprintf(f, "}}\n");
   std::fclose(f);
@@ -81,7 +86,7 @@ NetworkModel BenchNetwork() {
   NetworkModel net;
   // Geo-distributed data centers (the paper's motivating deployment, §1):
   // a few ms one-way latency and WAN-grade shared ingress at the
-  // coordinator. Documented in EXPERIMENTS.md.
+  // coordinator. Documented in bench_suite/README.md.
   net.latency_ms = 5.0;
   net.bandwidth_mb_per_s = 25.0;
   return net;

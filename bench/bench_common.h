@@ -47,12 +47,13 @@ uint64_t ExtractSeedFlag(int* argc, char** argv, uint64_t default_seed);
 
 /// Writes `{"bench": <name>, "metrics": {k: v, ...}}` to `path` (one JSON
 /// object per file; the CI smoke job merges the per-bench files into
-/// BENCH_pr.json). No-op when `path` is empty.
+/// BENCH_pr.json). A NaN or infinite value is written as null, since JSON
+/// has no token for it. No-op when `path` is empty.
 void WriteBenchJson(const std::string& path, const std::string& name,
                     const std::vector<std::pair<std::string, double>>& metrics);
 
 /// The default network model used by every figure (documented in
-/// EXPERIMENTS.md): 5 ms one-way latency, 100 MB/s coordinator link.
+/// bench_suite/README.md): 5 ms one-way latency, 25 MB/s coordinator link.
 NetworkModel BenchNetwork();
 
 /// Random query endpoints biased toward the paper's ~30% true rate:

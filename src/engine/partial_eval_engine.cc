@@ -23,9 +23,10 @@ namespace pereach {
 // byte is decoded TOLERANTLY (Decoder::OnError::kStatus): a serving
 // transport can fail or frame garbage, and the contract is that this fails
 // the batch with a Status — rejecting its queries — never the process. The
-// deep semantic invariants inside the Deserialize bodies stay as CHECKs:
-// they sit behind the wire CRC, so a violation there is a software bug on a
-// byte-exact copy, not a transport hazard.
+// dist path also validates reply CONTENT (WeightedBoundaryRows::Deserialize,
+// the sweep frames in RunBoundaryDist), so a CRC-valid reply naming a
+// non-boundary node or an out-of-bound distance is rejected the same way.
+// The reach and rpq rows decoders still CHECK their semantic invariants.
 
 namespace {
 
@@ -522,18 +523,27 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
     const SiteId s_site = frag.site_of(q.source);
     const SiteId t_site = frag.site_of(q.target);
 
+    // A reply is not trusted: every seed must be a boundary node of this
+    // epoch and every distance within the bound (a site never ships a
+    // longer one), which also keeps the search's sums far from wrapping.
     Decoder& s_frame = frames[site_reply[s_site]][wi];
     const uint8_t s_flags = s_frame.GetU8();
     if (!(s_flags & kFrameHasS)) return MalformedReply("dist sweep frame");
     uint64_t local_dist = kInfWeight;
-    if (s_flags & kFrameHasLocalDist) local_dist = s_frame.GetVarint();
+    if (s_flags & kFrameHasLocalDist) {
+      local_dist = s_frame.GetVarint();
+      if (local_dist > q.bound) return MalformedReply("dist sweep frame");
+    }
     s_out.clear();
     const std::vector<NodeId>& oset = boundary_dist_->oset_globals(s_site);
     uint32_t prev = 0;
     for (size_t n = s_frame.GetCount(2); n > 0; --n) {
       prev += static_cast<uint32_t>(s_frame.GetVarint());
-      if (prev >= oset.size()) return MalformedReply("dist sweep frame");
-      s_out.push_back({oset[prev], s_frame.GetVarint()});
+      const uint64_t hops = s_frame.GetVarint();
+      if (prev >= oset.size() || hops > q.bound) {
+        return MalformedReply("dist sweep frame");
+      }
+      s_out.push_back({oset[prev], hops});
     }
 
     Decoder& t_frame = frames[site_reply[t_site]][wi];
@@ -542,8 +552,14 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
     if (!(t_flags & kFrameHasT)) return MalformedReply("dist sweep frame");
     t_in.clear();
     for (size_t n = t_frame.GetCount(2); n > 0; --n) {
-      const NodeId global = static_cast<NodeId>(t_frame.GetVarint());
-      t_in.push_back({global, t_frame.GetVarint()});
+      const uint64_t global = t_frame.GetVarint();
+      const uint64_t hops = t_frame.GetVarint();
+      if (global >= kInvalidNode ||
+          !boundary_dist_->IsBoundaryNode(static_cast<NodeId>(global)) ||
+          hops > q.bound) {
+        return MalformedReply("dist sweep frame");
+      }
+      t_in.push_back({static_cast<NodeId>(global), hops});
     }
     if (!s_frame.ok() || !t_frame.ok()) {
       return MalformedReply("dist sweep frame");

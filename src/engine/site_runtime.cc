@@ -192,45 +192,49 @@ void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
     return;
   }
 
-  uint64_t local_dist = kInfWeight;
+  // Each side is one bounded BFS over the local graph — O(|V_f| + |E_f|)
+  // whatever |oset| and |in| are. The BFS prunes past `bound`, so a node is
+  // within the bound exactly when its distance is finite (a `<= bound` test
+  // would pass unreached nodes when bound is kInfDistance).
+  uint32_t local_hops = kInfDistance;
   std::vector<std::pair<uint32_t, uint32_t>> s_out;
   if (s_here) {
-    // One bounded sweep from s over the oset plus t's local copy; a virtual
-    // copy of t folds into the short-circuit by global id, like localEvald's
-    // base column.
+    // Exits in ascending oset order. Reaching t's local copy, or its
+    // virtual copy (the cross edge into t completes the path), is the
+    // short-circuit instead, like localEvald's base column.
+    const std::vector<uint32_t> from_s =
+        BfsDistances(f.local_graph(), f.ToLocal(s), bound);
+    if (t_here) local_hops = from_s[f.ToLocal(t)];
     const std::vector<NodeId>& oset_locals = ctx->oset_locals(f);
     const std::vector<NodeId>& oset_globals = ctx->oset_globals(f);
-    std::vector<NodeId> targets = oset_locals;
-    if (t_here) targets.push_back(f.ToLocal(t));
-    const std::vector<NodeId> source = {f.ToLocal(s)};
-    ForEachBoundedDistance(
-        f.local_graph(), source, targets, bound, /*block_bits=*/256,
-        [&](uint32_t, uint32_t ti, uint32_t hops) {
-          if (ti >= oset_globals.size() || oset_globals[ti] == t) {
-            local_dist = std::min<uint64_t>(local_dist, hops);
-          } else {
-            s_out.emplace_back(ti, hops);
-          }
-        });
-    std::sort(s_out.begin(), s_out.end());
+    for (uint32_t j = 0; j < oset_locals.size(); ++j) {
+      const uint32_t hops = from_s[oset_locals[j]];
+      if (hops == kInfDistance) continue;
+      if (oset_globals[j] == t) {
+        local_hops = std::min(local_hops, hops);
+      } else {
+        s_out.emplace_back(j, hops);
+      }
+    }
   }
 
+  // Entries in ascending in-node order.
   std::vector<std::pair<NodeId, uint32_t>> t_in;
   if (t_here) {
-    const std::vector<NodeId> target = {f.ToLocal(t)};
-    ForEachBoundedDistance(
-        f.local_graph(), f.in_nodes(), target, bound, /*block_bits=*/64,
-        [&](uint32_t in_idx, uint32_t, uint32_t hops) {
-          t_in.emplace_back(f.ToGlobal(f.in_nodes()[in_idx]), hops);
-        });
+    const std::vector<uint32_t> to_t =
+        BfsDistancesTo(f.local_graph(), f.ToLocal(t), bound);
+    for (NodeId in : f.in_nodes()) {
+      if (to_t[in] == kInfDistance) continue;
+      t_in.emplace_back(f.ToGlobal(in), to_t[in]);
+    }
   }
 
   uint8_t flags = 0;
   if (s_here) flags |= kFrameHasS;
   if (t_here) flags |= kFrameHasT;
-  if (local_dist != kInfWeight) flags |= kFrameHasLocalDist;
+  if (local_hops != kInfDistance) flags |= kFrameHasLocalDist;
   body->PutU8(flags);
-  if (local_dist != kInfWeight) body->PutVarint(local_dist);
+  if (local_hops != kInfDistance) body->PutVarint(local_hops);
   if (s_here) {
     body->PutVarint(s_out.size());
     uint32_t prev = 0;

@@ -44,17 +44,21 @@ bool Reaches(const Graph& g, NodeId s, NodeId t) {
   return false;
 }
 
-std::vector<uint32_t> BfsDistances(const Graph& g, NodeId s,
-                                   uint32_t max_dist) {
+namespace {
+
+/// Level-order BFS from `root` along out-edges, or along in-edges when
+/// `kReverse`, expanding no node at depth `max_dist` or beyond.
+template <bool kReverse>
+std::vector<uint32_t> BoundedBfs(const Graph& g, NodeId root,
+                                 uint32_t max_dist) {
   std::vector<uint32_t> dist(g.NumNodes(), kInfDistance);
-  std::deque<NodeId> queue;
-  dist[s] = 0;
-  queue.push_back(s);
-  while (!queue.empty()) {
-    const NodeId u = queue.front();
-    queue.pop_front();
-    if (dist[u] >= max_dist) continue;
-    for (NodeId v : g.OutNeighbors(u)) {
+  std::vector<NodeId> queue = {root};
+  dist[root] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const NodeId u = queue[head];
+    // The queue is level-ordered: every later entry is at least this deep.
+    if (dist[u] >= max_dist) break;
+    for (NodeId v : kReverse ? g.InNeighbors(u) : g.OutNeighbors(u)) {
       if (dist[v] == kInfDistance) {
         dist[v] = dist[u] + 1;
         queue.push_back(v);
@@ -62,6 +66,18 @@ std::vector<uint32_t> BfsDistances(const Graph& g, NodeId s,
     }
   }
   return dist;
+}
+
+}  // namespace
+
+std::vector<uint32_t> BfsDistances(const Graph& g, NodeId s,
+                                   uint32_t max_dist) {
+  return BoundedBfs</*kReverse=*/false>(g, s, max_dist);
+}
+
+std::vector<uint32_t> BfsDistancesTo(const Graph& g, NodeId t,
+                                     uint32_t max_dist) {
+  return BoundedBfs</*kReverse=*/true>(g, t, max_dist);
 }
 
 uint32_t BfsDistance(const Graph& g, NodeId s, NodeId t) {

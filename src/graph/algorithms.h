@@ -18,8 +18,17 @@ bool Reaches(const Graph& g, NodeId s, NodeId t);
 
 /// Unweighted shortest-path distances from s; kInfDistance if unreachable.
 /// Nodes farther than `max_dist` are left at kInfDistance (search is pruned).
+/// This and BfsDistancesTo are the single-ended kernels: one source (or one
+/// target) against every node in O(|V| + |E|), however many nodes the caller
+/// reads off the result. ForEachBoundedDistance is for many-to-many sweeps.
 std::vector<uint32_t> BfsDistances(const Graph& g, NodeId s,
                                    uint32_t max_dist = kInfDistance);
+
+/// Unweighted shortest-path distances TO t (a BFS along in-edges):
+/// d[v] = dist(v, t), kInfDistance if v does not reach t or is farther than
+/// `max_dist`.
+std::vector<uint32_t> BfsDistancesTo(const Graph& g, NodeId t,
+                                     uint32_t max_dist = kInfDistance);
 
 /// Unweighted distance from s to t (kInfDistance if unreachable).
 uint32_t BfsDistance(const Graph& g, NodeId s, NodeId t);
@@ -95,7 +104,9 @@ std::vector<uint32_t> ForEachReachableTargetGrouped(
 /// dist(sources[i], targets[j]) <= bound (including dist 0 when a source is
 /// a target). Level-synchronous backward propagation of target bitsets along
 /// reversed edges, blocked like ForEachReachableTarget:
-/// O(bound * |E| * block_bits/64) per block, frontier-driven.
+/// O(bound * |E| * block_bits/64) per block, frontier-driven. For many
+/// sources AND many targets (localEvald, the cached dist rows); a sweep with
+/// one source or one target is one BfsDistances / BfsDistancesTo call.
 void ForEachBoundedDistance(
     const Graph& g, const std::vector<NodeId>& sources,
     const std::vector<NodeId>& targets, uint32_t bound, size_t block_bits,

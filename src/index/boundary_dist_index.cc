@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <unordered_set>
 
 #include "src/util/logging.h"
 
@@ -49,13 +50,24 @@ WeightedBoundaryRows WeightedBoundaryRows::Deserialize(Decoder* dec) {
       prev += static_cast<uint32_t>(dec->GetVarint());
       idx = prev;
       hops = static_cast<uint32_t>(dec->GetVarint());
-      PEREACH_CHECK_LT(idx, out.oset_globals.size());
+      if (!dec->Require(idx < out.oset_globals.size(),
+                        "weighted boundary rows: oset index out of range")) {
+        return out;
+      }
     }
   }
+  // Ensure() binds every alias to its rep's group: validate that here, so
+  // a bad reply fails its decode instead of the rebuild.
+  const std::unordered_set<NodeId> reps(out.rep_globals.begin(),
+                                        out.rep_globals.end());
   out.aliases.resize(dec->GetCount(2));
   for (auto& [member, rep] : out.aliases) {
     member = static_cast<NodeId>(dec->GetVarint());
     rep = static_cast<NodeId>(dec->GetVarint());
+    if (!dec->Require(reps.contains(rep),
+                      "weighted boundary rows: alias to an unknown rep")) {
+      return out;
+    }
   }
   return out;
 }
@@ -157,6 +169,7 @@ void BoundaryDistIndex::Ensure() {
     }
     for (const auto& [member, rep] : fr.aliases) {
       const auto it = group_of_rep.find(rep);
+      // Deserialize already rejected rows with such an alias.
       PEREACH_CHECK(it != group_of_rep.end() && "alias to an unknown rep");
       members[it->second].push_back(intern(member));
     }
@@ -206,6 +219,11 @@ void BoundaryDistIndex::Ensure() {
   visit_version_ = 0;
   stale_ = false;
   ++rebuild_count_;
+}
+
+bool BoundaryDistIndex::IsBoundaryNode(NodeId global) const {
+  PEREACH_CHECK(!stale_ && "Ensure() before querying");
+  return node_of_.contains(global);
 }
 
 uint32_t BoundaryDistIndex::DenseOf(NodeId global) const {

@@ -97,12 +97,16 @@ class BoundaryDistIndex {
     uint64_t dist = 0;
   };
 
+  /// True iff `global` is a boundary node of the current epoch — a valid
+  /// search seed. Callers seeding from a site reply check this first.
+  bool IsBoundaryNode(NodeId global) const;
+
   /// min over (u, v) of sources[u].dist + d_B(u -> v) + targets[v].dist,
   /// where d_B is the boundary-graph distance using only edges of weight
   /// <= max_edge_weight; kInfWeight when no such route exists. Bidirectional
   /// Dijkstra: both frontiers expand toward each other and the search stops
   /// once the frontier tops prove the incumbent optimal. Seeds naming nodes
-  /// of the current epoch only; CHECK-fails otherwise.
+  /// of the current epoch only (IsBoundaryNode); CHECK-fails otherwise.
   uint64_t ShortestPath(std::span<const Seed> sources,
                         std::span<const Seed> targets,
                         uint32_t max_edge_weight);

@@ -210,6 +210,12 @@ class Decoder {
   [[nodiscard]] size_t position() const { return pos_; }
   [[nodiscard]] size_t remaining() const { return size_ - pos_; }
 
+  /// Content validation for Deserialize bodies: a decoded value that breaks
+  /// its payload's invariants (an index past its table, a reference to an
+  /// entry that does not exist) fails the decoder exactly like a malformed
+  /// read. Returns `cond`.
+  bool Require(bool cond, const char* msg) { return Check(cond, msg); }
+
   /// kStatus mode: true until the first malformed read. Always true in
   /// kAbort mode (a violation never returns).
   [[nodiscard]] bool ok() const { return !failed_; }

@@ -11,13 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/baselines/centralized.h"
 #include "src/core/incremental.h"
 #include "src/engine/partial_eval_engine.h"
+#include "src/engine/site_runtime.h"
+#include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/net/cluster.h"
 #include "tests/test_util.h"
@@ -122,16 +126,144 @@ TEST(BoundaryDistIndexTest, HandBuiltGraphAnswersAndInvalidates) {
 }
 
 // ---------------------------------------------------------------------------
+// Endpoint sweep frames against a local all-pairs oracle
+
+/// A dist sweep frame, decoded.
+struct DecodedDistFrame {
+  uint8_t flags = 0;
+  uint32_t local_hops = kInfDistance;
+  std::vector<std::pair<uint32_t, uint32_t>> s_out;  // (oset index, hops)
+  std::vector<std::pair<NodeId, uint32_t>> t_in;     // (in-node global, hops)
+};
+
+DecodedDistFrame DecodeDistFrame(const std::vector<uint8_t>& bytes) {
+  Decoder dec(bytes);
+  DecodedDistFrame out;
+  out.flags = dec.GetU8();
+  if (out.flags & kFrameHasLocalDist) {
+    out.local_hops = static_cast<uint32_t>(dec.GetVarint());
+  }
+  if (out.flags & kFrameHasS) {
+    uint32_t prev = 0;
+    for (size_t n = dec.GetCount(2); n > 0; --n) {
+      prev += static_cast<uint32_t>(dec.GetVarint());
+      out.s_out.emplace_back(prev, static_cast<uint32_t>(dec.GetVarint()));
+    }
+  }
+  if (out.flags & kFrameHasT) {
+    for (size_t n = dec.GetCount(2); n > 0; --n) {
+      const NodeId global = static_cast<NodeId>(dec.GetVarint());
+      out.t_in.emplace_back(global, static_cast<uint32_t>(dec.GetVarint()));
+    }
+  }
+  EXPECT_TRUE(dec.Done());
+  return out;
+}
+
+// Every pair a frame carries — s-side exits, the local short-circuit, t-side
+// entries — equals the local graph's all-pairs distances within the bound,
+// in ascending oset-index / in-node order, for every bound including 0 and
+// kInfDistance (where "within the bound" must still exclude unreached
+// nodes). Endpoints cover both stored here, one side only, t's virtual copy
+// here, and neither.
+TEST(DistSweepFrameTest, MatchesLocalAllPairsDistances) {
+  constexpr size_t kSites = 3;
+  Rng rng(6011);
+  std::vector<uint32_t> bounds;
+  for (uint32_t b = 0; b <= 12; ++b) bounds.push_back(b);
+  bounds.push_back(kInfDistance);
+  const auto within = [](uint32_t d, uint32_t bound) {
+    return d != kInfDistance && d <= bound;
+  };
+  for (const auto& partitioner : AllPartitioners()) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const size_t n = 12 + rng.Uniform(30);
+      const Graph g = ErdosRenyi(n, 2 * n + rng.Uniform(n), 1, &rng);
+      const Fragmentation frag = Fragmentation::Build(
+          g, partitioner->Partition(g, kSites, &rng), kSites);
+      for (SiteId site = 0; site < kSites; ++site) {
+        const Fragment& f = frag.fragment(site);
+        FragmentContext ctx;
+        const std::vector<std::vector<uint32_t>> apd =
+            AllPairsDistances(f.local_graph());
+        const std::vector<NodeId>& oset_locals = ctx.oset_locals(f);
+        const std::vector<NodeId>& oset_globals = ctx.oset_globals(f);
+        for (int probe = 0; probe < 12; ++probe) {
+          const NodeId s = static_cast<NodeId>(rng.Uniform(n));
+          NodeId t = static_cast<NodeId>(rng.Uniform(n));
+          if (probe % 4 == 0 && !oset_globals.empty()) {
+            t = oset_globals[rng.Uniform(oset_globals.size())];
+          }
+          const bool s_here = f.Contains(s);
+          const bool t_here = f.Contains(t);
+          for (const uint32_t bound : bounds) {
+            const std::string where = partitioner->name() + " trial " +
+                                      std::to_string(trial) + " site " +
+                                      std::to_string(site) + " s=" +
+                                      std::to_string(s) + " t=" +
+                                      std::to_string(t) + " bound=" +
+                                      std::to_string(bound);
+            Encoder body;
+            EncodeDistSweepFrame(f, &ctx, s, t, bound, &body);
+            const DecodedDistFrame got = DecodeDistFrame(body.buffer());
+
+            DecodedDistFrame want;
+            if (s_here) want.flags |= kFrameHasS;
+            if (t_here) want.flags |= kFrameHasT;
+            if (s_here) {
+              const std::vector<uint32_t>& from_s = apd[f.ToLocal(s)];
+              if (t_here && within(from_s[f.ToLocal(t)], bound)) {
+                want.local_hops = from_s[f.ToLocal(t)];
+              }
+              for (uint32_t j = 0; j < oset_locals.size(); ++j) {
+                const uint32_t d = from_s[oset_locals[j]];
+                if (!within(d, bound)) continue;
+                if (oset_globals[j] == t) {
+                  want.local_hops = std::min(want.local_hops, d);
+                } else {
+                  want.s_out.emplace_back(j, d);
+                }
+              }
+            }
+            if (t_here) {
+              for (const NodeId in : f.in_nodes()) {
+                const uint32_t d = apd[in][f.ToLocal(t)];
+                if (!within(d, bound)) continue;
+                want.t_in.emplace_back(f.ToGlobal(in), d);
+              }
+            }
+            if (want.local_hops != kInfDistance) {
+              want.flags |= kFrameHasLocalDist;
+            }
+
+            ASSERT_EQ(got.flags, want.flags) << where;
+            EXPECT_EQ(got.local_hops, want.local_hops) << where;
+            EXPECT_EQ(got.s_out, want.s_out) << where;
+            EXPECT_EQ(got.t_in, want.t_in) << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Randomized differential: indexed answers == BES answers == oracle
+
+/// Bounds 1..10, plus kInfDistance one time in five: an unbounded query
+/// must not let a site's "unreached" marker pass as a distance.
+uint32_t RandomBound(Rng* rng) {
+  return rng->Bernoulli(0.2) ? kInfDistance
+                             : static_cast<uint32_t>(1 + rng->Uniform(10));
+}
 
 std::vector<Query> RandomDistBatch(size_t n, size_t count, Rng* rng) {
   std::vector<Query> batch;
   batch.reserve(count);
   for (size_t i = 0; i < count; ++i) {
-    batch.push_back(
-        Query::Dist(static_cast<NodeId>(rng->Uniform(n)),
-                    static_cast<NodeId>(rng->Uniform(n)),
-                    static_cast<uint32_t>(1 + rng->Uniform(10))));
+    const NodeId s = static_cast<NodeId>(rng->Uniform(n));
+    const NodeId t = static_cast<NodeId>(rng->Uniform(n));
+    batch.push_back(Query::Dist(s, t, RandomBound(rng)));
   }
   return batch;
 }
@@ -232,7 +364,7 @@ TEST(BoundaryDistDifferentialTest, UnreachablePairsAreInfinityOnBothPaths) {
   for (int i = 0; i < 30; ++i) {
     const NodeId s = static_cast<NodeId>(rng.Uniform(half));
     const NodeId t = static_cast<NodeId>(half + rng.Uniform(half));
-    const Query q = Query::Dist(s, t, 1 + static_cast<uint32_t>(i % 8));
+    const Query q = Query::Dist(s, t, RandomBound(&rng));
     const QueryAnswer bes = bes_engine.Evaluate(q);
     const QueryAnswer idx = idx_engine.Evaluate(q);
     ASSERT_EQ(bes.distance, kInfWeight) << "s=" << s << " t=" << t;
@@ -283,7 +415,7 @@ TEST(BoundaryDistDifferentialTest, SourceEqualsTargetAndBoundaryEndpoints) {
     if (i % 2 == 0) {
       (i % 4 == 0 ? s : t) = static_cast<NodeId>(rng.Uniform(n));
     }
-    const Query q = Query::Dist(s, t, 1 + static_cast<uint32_t>(i % 9));
+    const Query q = Query::Dist(s, t, RandomBound(&rng));
     const QueryAnswer bes = bes_engine.Evaluate(q);
     const QueryAnswer idx = idx_engine.Evaluate(q);
     ASSERT_EQ(idx.distance, bes.distance) << "s=" << s << " t=" << t
@@ -318,7 +450,7 @@ TEST(BoundaryDistDifferentialTest, DegenerateFragmentCounts) {
     for (int i = 0; i < 60; ++i) {
       const NodeId s = static_cast<NodeId>(rng.Uniform(n));
       const NodeId t = static_cast<NodeId>(rng.Uniform(n));
-      const uint32_t bound = 1 + static_cast<uint32_t>(i % 8);
+      const uint32_t bound = RandomBound(&rng);
       const QueryAnswer idx = engine.Evaluate(Query::Dist(s, t, bound));
       const uint64_t true_dist = OracleDistance(g, s, t);
       ASSERT_EQ(idx.reachable, true_dist != kInfWeight && true_dist <= bound)

@@ -13,14 +13,21 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/core/local_eval.h"
+#include "src/engine/fragment_context.h"
 #include "src/engine/partial_eval_engine.h"
+#include "src/engine/site_runtime.h"
 #include "src/fragment/fragmentation.h"
+#include "src/graph/algorithms.h"
 #include "src/graph/graph.h"
+#include "src/index/boundary_dist_index.h"
 #include "src/net/cluster.h"
 #include "src/net/supervisor.h"
 #include "src/net/transport.h"
@@ -79,6 +86,38 @@ TEST(FailureTest, CorruptedPartialAnswerAborts) {
   buf[2] = 0x7F;
   Decoder dec(buf);
   EXPECT_DEATH(ReachPartialAnswer::Deserialize(&dec), "CHECK failed");
+}
+
+// The weighted boundary rows decoder checks content, not only framing: a
+// row naming an oset index past its table, or an alias naming no rep, fails
+// a kStatus decode — the engine then rejects the batch and keeps the site
+// dirty — instead of CHECK-aborting the coordinator in
+// BoundaryDistIndex::Ensure.
+TEST(FailureTest, WeightedRowsDecoderRejectsOsetIndexPastTable) {
+  WeightedBoundaryRows rows;
+  rows.oset_globals = {3, 9};
+  rows.rep_globals = {12, 25};
+  rows.rows = {{{0, 2}}, {{1, 1}, {2, 4}}};  // index 2 of a 2-entry table
+  Encoder enc;
+  rows.Serialize(&enc);
+  Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+  (void)WeightedBoundaryRows::Deserialize(&dec);
+  EXPECT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+}
+
+TEST(FailureTest, WeightedRowsDecoderRejectsAliasToUnknownRep) {
+  WeightedBoundaryRows rows;
+  rows.oset_globals = {3};
+  rows.rep_globals = {12};
+  rows.rows = {{{0, 1}}};
+  rows.aliases = {{14, 12}, {15, 99}};  // 99 is no rep
+  Encoder enc;
+  rows.Serialize(&enc);
+  Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+  (void)WeightedBoundaryRows::Deserialize(&dec);
+  EXPECT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
 }
 
 TEST(FailureTest, GraphBuilderRejectsUnknownEndpoints) {
@@ -205,14 +244,105 @@ class FakeWorkers {
 
 constexpr size_t kMaxFrame = TransportOptions{}.max_frame_bytes;
 
-/// Hand-rolled well-formed ok reply (status 1, zero compute, empty payload)
+/// Hand-rolled well-formed ok reply (status 1, zero compute, the payload)
 /// so a scripted site can pass the handshake before misbehaving.
-void SendOkReply(int fd) {
+void SendOkReply(int fd, const std::vector<uint8_t>& payload = {}) {
   Encoder body;
   body.PutU8(1);
   body.PutDouble(0.0);
-  body.PutVarint(0);
+  body.PutVarint(payload.size());
+  body.PutRaw(payload);
   PEREACH_CHECK(WriteWireMessage(fd, body.buffer(), 1000).ok());
+}
+
+/// Serves one coordinator connection with the real site runtime, except
+/// that `tamper` may rewrite each round's reply payload before it is sent:
+/// the reply stays CRC-valid, only its content is forged.
+void ServeTampered(
+    int fd,
+    const std::function<void(RoundKind, std::vector<uint8_t>*)>& tamper) {
+  std::optional<Fragment> fragment;
+  std::unique_ptr<FragmentContext> ctx;
+  std::vector<uint8_t> req;
+  while (ReadWireMessage(fd, 15000, kMaxFrame, &req).ok()) {
+    Decoder dec(req);
+    const auto type = static_cast<WireMessage>(dec.GetU8());
+    // The coordinator closes right after kShutdown, without reading a reply.
+    if (type == WireMessage::kShutdown) break;
+    std::vector<uint8_t> payload;
+    if (type == WireMessage::kRound) {
+      const auto kind = static_cast<RoundKind>(dec.GetU8());
+      const uint8_t aux = dec.GetU8();
+      const std::vector<uint8_t> broadcast(
+          req.begin() + static_cast<ptrdiff_t>(dec.position()), req.end());
+      payload =
+          RunSiteRound(*fragment, ctx.get(), kind, aux, broadcast).value();
+      tamper(kind, &payload);
+    } else {
+      if (type == WireMessage::kHello) {
+        (void)dec.GetU8();      // version
+        (void)dec.GetVarint();  // site
+      }
+      fragment.emplace(Fragment::Deserialize(&dec));
+      ctx = std::make_unique<FragmentContext>();
+    }
+    SendOkReply(fd, payload);
+  }
+  close(fd);
+}
+
+/// Rewrites one round's reply payload.
+using PayloadEdit = std::function<void(std::vector<uint8_t>*)>;
+
+/// One forged reply: the kind of round it answers, and the rewrite.
+struct Forgery {
+  RoundKind kind;
+  PayloadEdit apply;
+};
+
+/// A dist refresh reply with `edit` applied to its rows.
+PayloadEdit ForgeRows(void (*edit)(WeightedBoundaryRows*)) {
+  return [edit](std::vector<uint8_t>* payload) {
+    Decoder dec(*payload);
+    WeightedBoundaryRows rows = WeightedBoundaryRows::Deserialize(&dec);
+    edit(&rows);
+    Encoder enc;
+    rows.Serialize(&enc);
+    *payload = enc.TakeBuffer();
+  };
+}
+
+void AliasToNoRep(WeightedBoundaryRows* rows) {
+  rows->aliases.emplace_back(/*member=*/9, /*rep=*/999);
+}
+
+void IndexPastTable(WeightedBoundaryRows* rows) {
+  ASSERT_FALSE(rows->rows.empty());
+  rows->rows.back().emplace_back(rows->oset_globals.size(), 1);
+}
+
+using Pairs = std::vector<std::pair<uint64_t, uint64_t>>;
+
+/// A one-query dist sweep reply holding both lists: (oset index delta,
+/// hops) pairs on the s-side, (global id, hops) pairs on the t-side.
+PayloadEdit ForgeSweep(const Pairs& s_out, const Pairs& t_in,
+                       std::optional<uint64_t> local = std::nullopt) {
+  return [=](std::vector<uint8_t>* payload) {
+    Encoder body;
+    body.PutU8(kFrameHasS | kFrameHasT |
+               (local.has_value() ? kFrameHasLocalDist : 0));
+    if (local.has_value()) body.PutVarint(*local);
+    for (const Pairs& list : {s_out, t_in}) {
+      body.PutVarint(list.size());
+      for (const auto& [a, b] : list) {
+        body.PutVarint(a);
+        body.PutVarint(b);
+      }
+    }
+    Encoder reply;
+    reply.PutFrame(body.buffer());
+    *payload = reply.TakeBuffer();
+  };
 }
 
 TransportOptions ConnectOptions(const FakeWorkers& workers) {
@@ -392,6 +522,77 @@ TEST(TransportFailureTest, StopDuringHungRoundDrainsCleanly) {
       EXPECT_TRUE(served.rejected);
     }
   }
+}
+
+// The dist index path checks reply CONTENT, not only framing. Site 2 sends
+// CRC-valid but forged replies: refresh rows with an alias to no rep and
+// with an oset index past the table, then sweep frames with entries that
+// are no boundary node (the coordinator's search CHECK-aborts on those),
+// and with hop counts and a local distance above the query bound. Each
+// forged reply rejects its batch with Corruption; a rejected refresh keeps
+// the site dirty, so the next batch asks it again; once the site answers
+// honestly, the same query is served correctly.
+TEST(TransportFailureTest, ForgedDistRepliesRejectBatchesNotProcess) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  // Both endpoints are stored at site 2, so it alone joins the sweep
+  // rounds. Pat -> Jack -> Mat -> Fred -> Emmy -> Ross -> Mark: 6 hops.
+  constexpr uint32_t kBound = 8;
+  const std::vector<Query> batch = {Query::Dist(ex.pat, ex.mark, kBound)};
+  ASSERT_EQ(frag.site_of(ex.pat), 2u);
+  ASSERT_EQ(frag.site_of(ex.mark), 2u);
+
+  // Pat's one exit (Jack, oset index 0, 1 hop) is genuine, so the search
+  // runs and would seed from a forged entry.
+  const Pairs pat_exit = {{0, 1}};
+  const Pairs none;
+  constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
+  constexpr RoundKind kRows = RoundKind::kDistRows;
+  constexpr RoundKind kSweep = RoundKind::kDistSweep;
+  std::vector<Forgery> forgeries;
+  forgeries.push_back({kRows, ForgeRows(AliasToNoRep)});
+  forgeries.push_back({kRows, ForgeRows(IndexPastTable)});
+  forgeries.push_back({kSweep, ForgeSweep(pat_exit, {{ex.tom, 1}})});
+  forgeries.push_back({kSweep, ForgeSweep(pat_exit, {{kNoSuchId, 1}})});
+  forgeries.push_back({kSweep, ForgeSweep(none, {{ex.ross, kBound + 1}})});
+  forgeries.push_back({kSweep, ForgeSweep({{0, kBound + 1}}, none)});
+  forgeries.push_back({kSweep, ForgeSweep(none, none, kBound + 1)});
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  workers.ServeHealthy(0);
+  workers.ServeHealthy(1);
+  workers.Run([&] {
+    const int fd = workers.Accept(2);
+    if (fd < 0) return;
+    ServeTampered(fd, [&](RoundKind kind, std::vector<uint8_t>* payload) {
+      const size_t next = applied.load();
+      if (next < forgeries.size() && forgeries[next].kind == kind) {
+        forgeries[next].apply(payload);
+        applied.store(next + 1);
+      }
+    });
+  });
+
+  {
+    Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
+                    ConnectOptions(workers));
+    PartialEvalOptions options;
+    options.dist_path = DistAnswerPath::kBoundaryIndex;
+    PartialEvalEngine engine(&cluster, options);
+    for (size_t i = 0; i < forgeries.size(); ++i) {
+      const BatchAnswer rejected = engine.EvaluateBatch(batch);
+      ASSERT_FALSE(rejected.status.ok()) << "forgery " << i;
+      EXPECT_EQ(rejected.status.code(), StatusCode::kCorruption)
+          << "forgery " << i << ": " << rejected.status.ToString();
+      EXPECT_EQ(applied.load(), i + 1) << "forgery " << i << " never sent";
+    }
+    const BatchAnswer served = engine.EvaluateBatch(batch);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_TRUE(served.answers[0].reachable);
+    EXPECT_EQ(served.answers[0].distance,
+              BfsDistance(ex.graph, ex.pat, ex.mark));
+  }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
 }
 
 // ---------------------------------------------------------------------------

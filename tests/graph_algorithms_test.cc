@@ -40,6 +40,11 @@ TEST(BfsDistancesTest, ChainDistances) {
   EXPECT_EQ(d, (std::vector<uint32_t>{0, 1, 2, 3, 4}));
   EXPECT_EQ(BfsDistance(g, 0, 4), 4u);
   EXPECT_EQ(BfsDistance(g, 4, 0), kInfDistance);
+  // The reverse search: distances TO a node, along in-edges.
+  EXPECT_EQ(BfsDistancesTo(g, 4), (std::vector<uint32_t>{4, 3, 2, 1, 0}));
+  const std::vector<uint32_t> to_0 = BfsDistancesTo(g, 0);
+  EXPECT_EQ(to_0[0], 0u);
+  for (NodeId v = 1; v < 5; ++v) EXPECT_EQ(to_0[v], kInfDistance);
 }
 
 TEST(BfsDistancesTest, MaxDistPrunes) {
@@ -47,12 +52,25 @@ TEST(BfsDistancesTest, MaxDistPrunes) {
   const std::vector<uint32_t> d = BfsDistances(g, 0, /*max_dist=*/2);
   EXPECT_EQ(d[2], 2u);
   EXPECT_EQ(d[3], kInfDistance);
+  const std::vector<uint32_t> to = BfsDistancesTo(g, 4, /*max_dist=*/2);
+  EXPECT_EQ(to[2], 2u);
+  EXPECT_EQ(to[1], kInfDistance);
+  // Bound 0 keeps only the root; an unbounded search is no different from
+  // the default.
+  const std::vector<uint32_t> only_root = BfsDistances(g, 2, 0);
+  for (NodeId v = 0; v < 5; ++v) {
+    EXPECT_EQ(only_root[v], v == 2 ? 0u : kInfDistance);
+  }
+  EXPECT_EQ(BfsDistancesTo(g, 2, 0), only_root);
+  EXPECT_EQ(BfsDistancesTo(g, 4, kInfDistance), BfsDistancesTo(g, 4));
 }
 
 TEST(BfsDistancesTest, ShortestPathPicked) {
   // Two routes 0->3: direct edge and a long way around.
   const Graph g = MakeGraph(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
   EXPECT_EQ(BfsDistance(g, 0, 3), 1u);
+  EXPECT_EQ(BfsDistances(g, 0)[3], 1u);
+  EXPECT_EQ(BfsDistancesTo(g, 3)[0], 1u);
 }
 
 TEST(SccTest, SingleCycleIsOneComponent) {
@@ -187,7 +205,11 @@ TEST(AllPairsDistancesTest, MatchesBfs) {
   const auto apd = AllPairsDistances(g);
   for (NodeId u = 0; u < n; ++u) {
     const std::vector<uint32_t> d = BfsDistances(g, u);
-    for (NodeId v = 0; v < n; ++v) EXPECT_EQ(apd[u][v], d[v]);
+    const std::vector<uint32_t> to = BfsDistancesTo(g, u);
+    for (NodeId v = 0; v < n; ++v) {
+      EXPECT_EQ(apd[u][v], d[v]);
+      EXPECT_EQ(apd[v][u], to[v]);
+    }
   }
 }
 
