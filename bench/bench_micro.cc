@@ -22,7 +22,6 @@
 #include "src/fragment/partitioner.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
-#include "src/index/reach_index.h"
 #include "src/index/reach_labels.h"
 #include "src/net/cluster.h"
 #include "src/regex/canonical.h"
@@ -249,46 +248,6 @@ void BM_Partitioner(benchmark::State& state) {
 BENCHMARK_TEMPLATE(BM_Partitioner, RandomPartitioner)->Arg(50000);
 BENCHMARK_TEMPLATE(BM_Partitioner, ChunkPartitioner)->Arg(50000);
 BENCHMARK_TEMPLATE(BM_Partitioner, BfsGrowPartitioner)->Arg(50000);
-
-// --- reachability indexes (§3 remark ablation) -------------------------------
-
-enum class IndexKind { kBfs, kMatrix, kInterval, kTwoHop };
-
-template <IndexKind kKind>
-void BM_ReachIndexQuery(benchmark::State& state) {
-  Rng rng(g_seed + 23);
-  const size_t n = static_cast<size_t>(state.range(0));
-  const Graph g = CommunityGraph(n, 4 * n, n / 200 + 1, 0.9, 1, &rng);
-  std::unique_ptr<ReachabilityIndex> index;
-  StopWatch build_watch;
-  switch (kKind) {
-    case IndexKind::kBfs:
-      index = BuildBfsIndex(g);
-      break;
-    case IndexKind::kMatrix:
-      index = BuildReachMatrix(g);
-      break;
-    case IndexKind::kInterval:
-      index = BuildIntervalIndex(g, 3, &rng);
-      break;
-    case IndexKind::kTwoHop:
-      index = BuildTwoHopIndex(g);
-      break;
-  }
-  const double build_ms = build_watch.ElapsedMs();
-  NodeId s = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        index->Reaches(s, static_cast<NodeId>(n - 1 - s)));
-    s = (s + 1) % static_cast<NodeId>(n);
-  }
-  state.counters["build_ms"] = build_ms;
-  state.counters["index_bytes"] = static_cast<double>(index->ByteSize());
-}
-BENCHMARK_TEMPLATE(BM_ReachIndexQuery, IndexKind::kBfs)->Arg(20000);
-BENCHMARK_TEMPLATE(BM_ReachIndexQuery, IndexKind::kMatrix)->Arg(20000);
-BENCHMARK_TEMPLATE(BM_ReachIndexQuery, IndexKind::kInterval)->Arg(20000);
-BENCHMARK_TEMPLATE(BM_ReachIndexQuery, IndexKind::kTwoHop)->Arg(20000);
 
 // --- equation encodings (closure vs DAG, the DESIGN.md §1.4 choice) ----------
 

@@ -60,7 +60,7 @@ struct ServerBenchFlags {
   // --metrics-json=PATH: write the final run's full ServerMetrics snapshot
   // (schema in docs/OPERATIONS.md) to PATH.
   std::string metrics_json;
-  // --transport=sim|shm|socket: serving transport behind the cluster
+  // --transport=sim|socket: serving transport behind the cluster
   // (DESIGN.md §13). sim answers rounds in-process (the modeled numbers are
   // the same either way); socket spawns one pereach_worker process per
   // fragment and the wall columns become real multi-process serving time.
@@ -93,7 +93,7 @@ struct ConfigResult {
   double wall_p90_ms = 0;
   double wall_p99_ms = 0;
   // Recovery books sampled from the final metrics snapshot (zeros for the
-  // in-process transports): the chaos series asserts on these.
+  // sim transport): the chaos series asserts on these.
   double transport_rejected = 0;
   double transport_retries = 0;
   double transport_respawns = 0;
@@ -113,8 +113,6 @@ const char* TransportName(TransportBackend backend) {
   switch (backend) {
     case TransportBackend::kSim:
       return "sim";
-    case TransportBackend::kShm:
-      return "shm";
     case TransportBackend::kSocket:
       return "socket";
   }
@@ -359,10 +357,6 @@ int Run(int argc, char** argv) {
         }
         if (std::strcmp(arg, "--transport=sim") == 0) {
           flags.transport = TransportBackend::kSim;
-          return true;
-        }
-        if (std::strcmp(arg, "--transport=shm") == 0) {
-          flags.transport = TransportBackend::kShm;
           return true;
         }
         if (std::strcmp(arg, "--transport=socket") == 0) {

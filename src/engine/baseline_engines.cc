@@ -51,7 +51,7 @@ Status MessagePassingEngine::RunBatch(std::span<const Query> queries,
                   "MessagePassingEngine supports reachability queries only");
     answers->push_back(RunDisReachMp(cluster_, q.source, q.target));
   }
-  // Baselines round over the simulated backend only, which never fails.
+  // Baselines round with Cluster::Round on the pool, which never fails.
   return Status::OK();
 }
 

@@ -1,7 +1,6 @@
 #include "src/engine/partial_eval_engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -14,19 +13,19 @@
 
 namespace pereach {
 
-// The per-site halves of every round below (the localEval sweeps, the row
-// re-encodings, the sweep frames) live in src/engine/site_runtime.* — one
-// definition shared by these simulated closures and by the worker-side
-// RoundSpec decoder, which is what keeps the backends bit-identical.
+// The per-site half of every round below is one RoundSpec, evaluated by
+// site_runtime::RunSiteRound on every backend: in process over this
+// engine's context cache (kSim, and kSocket's degraded sites) or on a
+// worker. One definition is what keeps the backends bit-identical.
 //
 // Every round goes through Cluster::TryRound/TryRoundAll and every reply
 // byte is decoded TOLERANTLY (Decoder::OnError::kStatus): a serving
 // transport can fail or frame garbage, and the contract is that this fails
-// the batch with a Status — rejecting its queries — never the process. The
-// dist path also validates reply CONTENT (WeightedBoundaryRows::Deserialize,
-// the sweep frames in RunBoundaryDist), so a CRC-valid reply naming a
-// non-boundary node or an out-of-bound distance is rejected the same way.
-// The reach and rpq rows decoders still CHECK their semantic invariants.
+// the batch with a Status — rejecting its queries — never the process.
+// The indexed paths validate reply CONTENT too (the rows decoders, the
+// sweep frames in RunBoundary*), so a CRC-valid reply naming a non-boundary
+// node, an index past its table or an out-of-bound distance is rejected the
+// same way.
 
 namespace {
 
@@ -39,6 +38,42 @@ bool IsTrivial(const Query& q) {
 
 Status MalformedReply(const char* what) {
   return Status::Corruption(std::string("transport: malformed ") + what);
+}
+
+/// The fragments storing an endpoint of a query in `wire`, ascending and
+/// distinct — the sites an indexed sweep round visits.
+std::vector<SiteId> EndpointSites(const Fragmentation& frag,
+                                  std::span<const Query> queries,
+                                  const std::vector<size_t>& wire) {
+  std::vector<SiteId> sites;
+  sites.reserve(2 * wire.size());
+  for (size_t qi : wire) {
+    sites.push_back(frag.site_of(queries[qi].source));
+    sites.push_back(frag.site_of(queries[qi].target));
+  }
+  std::sort(sites.begin(), sites.end());
+  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  return sites;
+}
+
+/// Splits each site's sweep reply into one frame decoder per query (frames
+/// view the reply buffers), indexed by site id. False when a reply is not
+/// exactly `num_queries` frames.
+bool SplitSweepReplies(const std::vector<SiteId>& sites,
+                       const std::vector<std::vector<uint8_t>>& replies,
+                       size_t num_fragments, size_t num_queries,
+                       std::vector<std::vector<Decoder>>* frames) {
+  frames->assign(num_fragments, {});
+  for (size_t ri = 0; ri < sites.size(); ++ri) {
+    Decoder dec(replies[ri], Decoder::OnError::kStatus);
+    std::vector<Decoder>& site_frames = (*frames)[sites[ri]];
+    site_frames.reserve(num_queries);
+    for (size_t wi = 0; wi < num_queries; ++wi) {
+      site_frames.push_back(dec.GetFrame());
+    }
+    if (!dec.Done()) return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -103,37 +138,26 @@ Status PartialEvalEngine::RunBatch(std::span<const Query> queries,
   }
   if (wire.empty()) return Status::OK();
 
-  // Batched broadcast: k queries in one payload. This is BOTH the byte
-  // accounting and (for the shm/socket backends) the literal bytes a worker
-  // decodes; the simulated closures read the query objects directly, as
-  // everywhere in this simulator. Regular queries dedupe their automata by
-  // canonical signature: identical regexes in one batch ship one automaton
-  // plus a per-query table reference instead of k serialized copies.
+  // Batched broadcast: k queries in one payload — both the byte accounting
+  // and the literal bytes every site decodes. Regular queries dedupe their
+  // automata by canonical signature: identical regexes in one batch ship one
+  // automaton plus a per-query table reference instead of k serialized
+  // copies.
   Encoder broadcast;
-  // Canonical automata in broadcast table order, plus each wire query's table
-  // slot. Sites — simulated closures and remote workers alike — evaluate the
-  // canonical automaton, so the reply bytes the model charges are exactly the
-  // bytes a worker produces from the decoded broadcast.
-  std::vector<QueryAutomaton> canon_pool;
-  std::vector<uint32_t> canon_ref(wire.size(), 0);
   {
     std::unordered_map<std::string, uint32_t> automaton_ref;
     Encoder automata;
     broadcast.PutVarint(wire.size());
-    for (size_t wi = 0; wi < wire.size(); ++wi) {
-      const Query& q = queries[wire[wi]];
+    for (size_t qi : wire) {
+      const Query& q = queries[qi];
       q.SerializeHeader(&broadcast);
       if (q.kind == QueryKind::kRpq) {
-        CanonicalAutomaton canon = Canonicalize(*q.automaton);
+        const CanonicalAutomaton canon = Canonicalize(*q.automaton);
         const auto [it, inserted] = automaton_ref.emplace(
             canon.signature.key,
             static_cast<uint32_t>(automaton_ref.size()));
-        if (inserted) {
-          canon.automaton.Serialize(&automata);
-          canon_pool.push_back(std::move(canon.automaton));
-        }
+        if (inserted) canon.automaton.Serialize(&automata);
         broadcast.PutVarint(it->second);
-        canon_ref[wi] = it->second;
       }
     }
     broadcast.PutVarint(automaton_ref.size());
@@ -143,51 +167,13 @@ Status PartialEvalEngine::RunBatch(std::span<const Query> queries,
   // One round: every site runs localEval for all k queries in a single
   // visit and multiplexes the partial answers into one reply — shared oset
   // table first (reach frames reference it), then one frame per query.
-  const EquationForm form = options_.form;
   RoundSpec spec;
   spec.kind = RoundKind::kBatchEval;
-  spec.aux = static_cast<uint8_t>(form);
+  spec.aux = static_cast<uint8_t>(options_.form);
   spec.accounted_broadcast_bytes = broadcast.size();
   spec.broadcast = broadcast.TakeBuffer();
-  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRoundAll(
-      spec, [this, queries, &wire, &canon_pool, &canon_ref, any_reach,
-             form](const Fragment& f) {
-        FragmentContext& ctx = contexts_.Get(f.site());
-        Encoder reply;
-        reply.PutVarint(f.site());
-        if (any_reach) {
-          const std::vector<NodeId>& shared = ctx.oset_globals(f);
-          reply.PutVarint(shared.size());
-          for (NodeId g : shared) reply.PutVarint(g);
-        }
-        for (size_t wi = 0; wi < wire.size(); ++wi) {
-          const Query& q = queries[wire[wi]];
-          Encoder body;
-          switch (q.kind) {
-            case QueryKind::kReach: {
-              const ReachPartialAnswer pa =
-                  form == EquationForm::kClosure
-                      ? ReachFromCachedRows(f, &ctx, q.source, q.target)
-                      : RebaseOntoSharedOset(
-                            LocalEvalReach(f, q.source, q.target, form,
-                                           &ctx.cond(f)),
-                            ctx);
-              pa.SerializeBody(ctx.oset_globals(f).size(), &body);
-              break;
-            }
-            case QueryKind::kDist:
-              LocalEvalDist(f, q.source, q.target, q.bound).Serialize(&body);
-              break;
-            case QueryKind::kRpq:
-              LocalEvalRegular(f, canon_pool[canon_ref[wi]], q.source,
-                               q.target, form, &ctx.label_index(f))
-                  .Serialize(&body);
-              break;
-          }
-          reply.PutFrame(body.buffer());
-        }
-        return reply.TakeBuffer();
-      });
+  Result<std::vector<std::vector<uint8_t>>> round =
+      cluster_->TryRoundAll(spec, &contexts_);
   if (!round.ok()) return round.status();
   const std::vector<std::vector<uint8_t>>& replies = round.value();
 
@@ -276,11 +262,7 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
     spec.kind = RoundKind::kReachRows;
     spec.accounted_broadcast_bytes = 1;  // the "please send rows" byte
     Result<std::vector<std::vector<uint8_t>>> round =
-        cluster_->TryRound(dirty, spec, [this](const Fragment& f) {
-          Encoder reply;
-          BuildBoundaryRows(f, &contexts_.Get(f.site())).Serialize(&reply);
-          return reply.TakeBuffer();
-        });
+        cluster_->TryRound(dirty, spec, &contexts_);
     if (!round.ok()) return round.status();
     const std::vector<std::vector<uint8_t>>& rows_replies = round.value();
     StopWatch build_watch;
@@ -298,14 +280,7 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
   // replaces the all-sites equation broadcast. Each involved site answers
   // every query of the batch with one tiny frame (its two query-dependent
   // sweeps); sites holding neither endpoint of a query emit one flag byte.
-  std::vector<SiteId> sites;
-  sites.reserve(2 * wire.size());
-  for (size_t qi : wire) {
-    sites.push_back(frag.site_of(queries[qi].source));
-    sites.push_back(frag.site_of(queries[qi].target));
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  const std::vector<SiteId> sites = EndpointSites(frag, queries, wire);
 
   Encoder broadcast;
   broadcast.PutVarint(wire.size());
@@ -315,37 +290,17 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
   spec.kind = RoundKind::kReachSweep;
   spec.accounted_broadcast_bytes = broadcast.size();
   spec.broadcast = broadcast.TakeBuffer();
-  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRound(
-      sites, spec, [this, queries, &wire](const Fragment& f) {
-        FragmentContext& ctx = contexts_.Get(f.site());
-        Encoder reply;
-        for (size_t qi : wire) {
-          const Query& q = queries[qi];
-          Encoder body;
-          EncodeBoundarySweepFrame(f, &ctx, q.source, q.target, &body);
-          reply.PutFrame(body.buffer());
-        }
-        return reply.TakeBuffer();
-      });
+  Result<std::vector<std::vector<uint8_t>>> round =
+      cluster_->TryRound(sites, spec, &contexts_);
   if (!round.ok()) return round.status();
-  const std::vector<std::vector<uint8_t>>& replies = round.value();
 
   // Assemble: per query, splice the s-side exits onto the t-side arrivals
   // through the boundary label — no equation system is ever built.
   StopWatch assemble_watch;
-  std::vector<uint32_t> site_reply(frag.num_fragments(),
-                                   std::numeric_limits<uint32_t>::max());
-  for (size_t ri = 0; ri < sites.size(); ++ri) {
-    site_reply[sites[ri]] = static_cast<uint32_t>(ri);
-  }
-  std::vector<std::vector<Decoder>> frames(replies.size());
-  for (size_t ri = 0; ri < replies.size(); ++ri) {
-    Decoder dec(replies[ri], Decoder::OnError::kStatus);
-    frames[ri].reserve(wire.size());
-    for (size_t wi = 0; wi < wire.size(); ++wi) {
-      frames[ri].push_back(dec.GetFrame());
-    }
-    if (!dec.Done()) return MalformedReply("boundary sweep reply");
+  std::vector<std::vector<Decoder>> frames;
+  if (!SplitSweepReplies(sites, round.value(), frag.num_fragments(),
+                         wire.size(), &frames)) {
+    return MalformedReply("boundary sweep reply");
   }
 
   // Decode every query's frames into flat endpoint storage first (spans are
@@ -366,7 +321,7 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
     const SiteId s_site = frag.site_of(q.source);
     const SiteId t_site = frag.site_of(q.target);
 
-    Decoder& s_frame = frames[site_reply[s_site]][wi];
+    Decoder& s_frame = frames[s_site][wi];
     const uint8_t s_flags = s_frame.GetU8();
     if (s_flags & kFrameLocalTrue) {
       answer.reachable = true;
@@ -385,13 +340,20 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
     }
     p.s_len = nodes.size() - p.s_off;
 
-    Decoder& t_frame = frames[site_reply[t_site]][wi];
+    // A reply is not trusted: every t-side entry must be a boundary node
+    // of this epoch before the label lookups resolve it.
+    Decoder& t_frame = frames[t_site][wi];
     uint8_t t_flags = s_flags;
     if (t_site != s_site) t_flags = t_frame.GetU8();
     if (!(t_flags & kFrameHasT)) return MalformedReply("boundary sweep frame");
     p.t_off = nodes.size();
     for (size_t n = t_frame.GetCount(); n > 0; --n) {
-      nodes.push_back(static_cast<NodeId>(t_frame.GetVarint()));
+      const uint64_t global = t_frame.GetVarint();
+      if (global >= kInvalidNode ||
+          !boundary_->IsBoundaryNode(static_cast<NodeId>(global))) {
+        return MalformedReply("boundary sweep frame");
+      }
+      nodes.push_back(static_cast<NodeId>(global));
     }
     p.t_len = nodes.size() - p.t_off;
     if (!s_frame.ok() || !t_frame.ok()) {
@@ -439,12 +401,7 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
     spec.kind = RoundKind::kDistRows;
     spec.accounted_broadcast_bytes = 1;  // the "please send rows" byte
     Result<std::vector<std::vector<uint8_t>>> round =
-        cluster_->TryRound(dirty, spec, [this](const Fragment& f) {
-          Encoder reply;
-          BuildWeightedBoundaryRows(f, &contexts_.Get(f.site()))
-              .Serialize(&reply);
-          return reply.TakeBuffer();
-        });
+        cluster_->TryRound(dirty, spec, &contexts_);
     if (!round.ok()) return round.status();
     const std::vector<std::vector<uint8_t>>& rows_replies = round.value();
     StopWatch build_watch;
@@ -463,14 +420,7 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
   // site answers every query of the batch with one tiny frame (its bounded
   // s-side / t-side distance sweeps); sites holding neither endpoint of a
   // query emit one flag byte.
-  std::vector<SiteId> sites;
-  sites.reserve(2 * wire.size());
-  for (size_t qi : wire) {
-    sites.push_back(frag.site_of(queries[qi].source));
-    sites.push_back(frag.site_of(queries[qi].target));
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  const std::vector<SiteId> sites = EndpointSites(frag, queries, wire);
 
   Encoder broadcast;
   broadcast.PutVarint(wire.size());
@@ -480,39 +430,19 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
   spec.kind = RoundKind::kDistSweep;
   spec.accounted_broadcast_bytes = broadcast.size();
   spec.broadcast = broadcast.TakeBuffer();
-  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRound(
-      sites, spec, [this, queries, &wire](const Fragment& f) {
-        FragmentContext& ctx = contexts_.Get(f.site());
-        Encoder reply;
-        for (size_t qi : wire) {
-          const Query& q = queries[qi];
-          Encoder body;
-          EncodeDistSweepFrame(f, &ctx, q.source, q.target, q.bound, &body);
-          reply.PutFrame(body.buffer());
-        }
-        return reply.TakeBuffer();
-      });
+  Result<std::vector<std::vector<uint8_t>>> round =
+      cluster_->TryRound(sites, spec, &contexts_);
   if (!round.ok()) return round.status();
-  const std::vector<std::vector<uint8_t>>& replies = round.value();
 
   // Assemble: per query, splice the s-side exit distances onto the t-side
   // entry distances through one bidirectional Dijkstra over the standing
   // graph (edges above the bound filtered), then take the minimum with the
   // local short-circuit — no min-plus equation system is ever built.
   StopWatch assemble_watch;
-  std::vector<uint32_t> site_reply(frag.num_fragments(),
-                                   std::numeric_limits<uint32_t>::max());
-  for (size_t ri = 0; ri < sites.size(); ++ri) {
-    site_reply[sites[ri]] = static_cast<uint32_t>(ri);
-  }
-  std::vector<std::vector<Decoder>> frames(replies.size());
-  for (size_t ri = 0; ri < replies.size(); ++ri) {
-    Decoder dec(replies[ri], Decoder::OnError::kStatus);
-    frames[ri].reserve(wire.size());
-    for (size_t wi = 0; wi < wire.size(); ++wi) {
-      frames[ri].push_back(dec.GetFrame());
-    }
-    if (!dec.Done()) return MalformedReply("dist sweep reply");
+  std::vector<std::vector<Decoder>> frames;
+  if (!SplitSweepReplies(sites, round.value(), frag.num_fragments(),
+                         wire.size(), &frames)) {
+    return MalformedReply("dist sweep reply");
   }
 
   std::vector<BoundaryDistIndex::Seed> s_out;
@@ -526,7 +456,7 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
     // A reply is not trusted: every seed must be a boundary node of this
     // epoch and every distance within the bound (a site never ships a
     // longer one), which also keeps the search's sums far from wrapping.
-    Decoder& s_frame = frames[site_reply[s_site]][wi];
+    Decoder& s_frame = frames[s_site][wi];
     const uint8_t s_flags = s_frame.GetU8();
     if (!(s_flags & kFrameHasS)) return MalformedReply("dist sweep frame");
     uint64_t local_dist = kInfWeight;
@@ -546,7 +476,7 @@ Status PartialEvalEngine::RunBoundaryDist(std::span<const Query> queries,
       s_out.push_back({oset[prev], hops});
     }
 
-    Decoder& t_frame = frames[site_reply[t_site]][wi];
+    Decoder& t_frame = frames[t_site][wi];
     uint8_t t_flags = s_flags;
     if (t_site != s_site) t_flags = t_frame.GetU8();
     if (!(t_flags & kFrameHasT)) return MalformedReply("dist sweep frame");
@@ -640,20 +570,8 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
       spec.kind = RoundKind::kRpqRows;
       spec.accounted_broadcast_bytes = refresh_broadcast.size();
       spec.broadcast = refresh_broadcast.TakeBuffer();
-      Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRound(
-          refresh_sites, spec, [this, &sigs, &site_sigs](const Fragment& f) {
-            FragmentContext& ctx = contexts_.Get(f.site());
-            ctx.BeginRpqRound();
-            Encoder reply;
-            for (uint32_t si : site_sigs[f.site()]) {
-              Encoder body;
-              BuildProductBoundaryRows(f, &ctx, sigs[si].canon.signature.key,
-                                       sigs[si].canon.automaton)
-                  .Serialize(&body);
-              reply.PutFrame(body.buffer());
-            }
-            return reply.TakeBuffer();
-          });
+      Result<std::vector<std::vector<uint8_t>>> round =
+          cluster_->TryRound(refresh_sites, spec, &contexts_);
       if (!round.ok()) return round.status();
       const std::vector<std::vector<uint8_t>>& rows_replies = round.value();
       StopWatch build_watch;
@@ -678,14 +596,7 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
   // query-dependent product sweeps); sites holding neither endpoint of a
   // query emit one flag byte. The broadcast ships the batch's distinct
   // canonical automata once each; queries reference them by index.
-  std::vector<SiteId> sites;
-  sites.reserve(2 * wire.size());
-  for (size_t qi : wire) {
-    sites.push_back(frag.site_of(queries[qi].source));
-    sites.push_back(frag.site_of(queries[qi].target));
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
+  const std::vector<SiteId> sites = EndpointSites(frag, queries, wire);
 
   Encoder broadcast;
   broadcast.PutVarint(sigs.size());
@@ -701,48 +612,19 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
   spec.kind = RoundKind::kRpqSweep;
   spec.accounted_broadcast_bytes = broadcast.size();
   spec.broadcast = broadcast.TakeBuffer();
-  Result<std::vector<std::vector<uint8_t>>> round = cluster_->TryRound(
-      sites, spec,
-      [this, queries, &wire, &sigs, &query_sig](const Fragment& f) {
-        FragmentContext& ctx = contexts_.Get(f.site());
-        ctx.BeginRpqRound();
-        Encoder reply;
-        for (size_t wi = 0; wi < wire.size(); ++wi) {
-          const Query& q = queries[wire[wi]];
-          Encoder body;
-          if (!f.Contains(q.source) && !f.Contains(q.target)) {
-            body.PutU8(0);
-          } else {
-            const SigGroup& sig = sigs[query_sig[wi]];
-            const FragmentContext::RpqProduct& p = ctx.rpq_product(
-                f, sig.canon.signature.key, sig.canon.automaton);
-            EncodeRpqSweepFrame(f, &ctx, p, q.source, q.target, &body);
-          }
-          reply.PutFrame(body.buffer());
-        }
-        return reply.TakeBuffer();
-      });
+  Result<std::vector<std::vector<uint8_t>>> round =
+      cluster_->TryRound(sites, spec, &contexts_);
   if (!round.ok()) return round.status();
-  const std::vector<std::vector<uint8_t>>& replies = round.value();
 
   // Assemble: per query, splice the s-side exit pairs onto the t-side
   // accepting entries (plus the standing accept pair (t, u_t), which covers
   // acceptance at fragments holding virtual copies of t) through the
   // standing product graph's labels — no equation system is ever built.
   StopWatch assemble_watch;
-  std::vector<uint32_t> site_reply(frag.num_fragments(),
-                                   std::numeric_limits<uint32_t>::max());
-  for (size_t ri = 0; ri < sites.size(); ++ri) {
-    site_reply[sites[ri]] = static_cast<uint32_t>(ri);
-  }
-  std::vector<std::vector<Decoder>> frames(replies.size());
-  for (size_t ri = 0; ri < replies.size(); ++ri) {
-    Decoder dec(replies[ri], Decoder::OnError::kStatus);
-    frames[ri].reserve(wire.size());
-    for (size_t wi = 0; wi < wire.size(); ++wi) {
-      frames[ri].push_back(dec.GetFrame());
-    }
-    if (!dec.Done()) return MalformedReply("product sweep reply");
+  std::vector<std::vector<Decoder>> frames;
+  if (!SplitSweepReplies(sites, round.value(), frag.num_fragments(),
+                         wire.size(), &frames)) {
+    return MalformedReply("product sweep reply");
   }
 
   // Decode every query's frames into flat pair storage first (spans are
@@ -764,7 +646,7 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
     const SiteId s_site = frag.site_of(q.source);
     const SiteId t_site = frag.site_of(q.target);
 
-    Decoder& s_frame = frames[site_reply[s_site]][wi];
+    Decoder& s_frame = frames[s_site][wi];
     const uint8_t s_flags = s_frame.GetU8();
     if (s_flags & kFrameLocalTrue) {
       answer.reachable = true;
@@ -783,14 +665,20 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
     }
     p.s_len = pairs.size() - p.s_off;
 
-    Decoder& t_frame = frames[site_reply[t_site]][wi];
+    // A reply is not trusted: every t-side entry must be a pair of this
+    // entry's standing graph before the label lookups resolve it.
+    Decoder& t_frame = frames[t_site][wi];
     uint8_t t_flags = s_flags;
     if (t_site != s_site) t_flags = t_frame.GetU8();
     if (!(t_flags & kFrameHasT)) return MalformedReply("product sweep frame");
     p.t_off = pairs.size();
     for (size_t n = t_frame.GetCount(2); n > 0; --n) {
-      const NodeId global = static_cast<NodeId>(t_frame.GetVarint());
-      pairs.push_back({global, t_frame.GetU8()});
+      const uint64_t global = t_frame.GetVarint();
+      const ProductPair pair{static_cast<NodeId>(global), t_frame.GetU8()};
+      if (global >= kInvalidNode || !entry.HasPair(pair)) {
+        return MalformedReply("product sweep frame");
+      }
+      pairs.push_back(pair);
     }
     if (!s_frame.ok() || !t_frame.ok()) {
       return MalformedReply("product sweep frame");

@@ -103,8 +103,8 @@ struct Query {
 /// `status` is non-OK when the batch could not be evaluated — a serving
 /// transport failure (dead worker, expired deadline, corrupt frame) fails
 /// the WHOLE batch, since its queries were multiplexed into the failed
-/// round; `answers` must not be read then. The simulated backend never
-/// fails.
+/// round; `answers` must not be read then. The simulated backend fails
+/// only on a round spec that does not decode.
 struct BatchAnswer {
   Status status;
   std::vector<QueryAnswer> answers;

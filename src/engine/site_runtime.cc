@@ -1,13 +1,22 @@
 #include "src/engine/site_runtime.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/engine/query_engine.h"
+#include "src/index/boundary_dist_index.h"
+#include "src/index/boundary_index.h"
+#include "src/index/boundary_rpq_index.h"
 #include "src/regex/canonical.h"
 
 namespace pereach {
 
+namespace {
+
+/// Rebases a partial answer produced against its own query-local oset table
+/// onto the fragment's shared (batch-wide) table; the answer's own table is
+/// dropped (batch bodies serialize against the shared one).
 ReachPartialAnswer RebaseOntoSharedOset(ReachPartialAnswer pa,
                                         const FragmentContext& ctx) {
   for (ReachPartialAnswer::Equation& eq : pa.equations) {
@@ -25,11 +34,12 @@ ReachPartialAnswer RebaseOntoSharedOset(ReachPartialAnswer pa,
   return pa;
 }
 
-/// The two query-dependent condensation sweeps every cached-rows reach path
-/// (BES closure frames and boundary-index frames) is built from. Both rely
-/// on component ids being reverse topological: every edge goes to a smaller
-/// id.
+// The two query-dependent condensation sweeps every cached-rows reach path
+// (BES closure frames and boundary-index frames) is built from. Both rely
+// on component ids being reverse topological: every edge goes to a smaller
+// id.
 
+/// Components that locally reach `t_comp` (ascending scan).
 std::vector<bool> ComponentsReaching(const Condensation& cond,
                                      uint32_t t_comp) {
   std::vector<bool> reaches(cond.scc.num_components, false);
@@ -44,6 +54,7 @@ std::vector<bool> ComponentsReaching(const Condensation& cond,
   return reaches;
 }
 
+/// Components locally reachable from `s_comp` (descending scan).
 std::vector<bool> ComponentsReachableFrom(const Condensation& cond,
                                           uint32_t s_comp) {
   std::vector<bool> reachable(cond.scc.num_components, false);
@@ -56,6 +67,8 @@ std::vector<bool> ComponentsReachableFrom(const Condensation& cond,
   }
   return reachable;
 }
+
+}  // namespace
 
 ReachPartialAnswer ReachFromCachedRows(const Fragment& f, FragmentContext* ctx,
                                        NodeId s, NodeId t) {
@@ -123,64 +136,6 @@ ReachPartialAnswer ReachFromCachedRows(const Fragment& f, FragmentContext* ctx,
     }
   }
   return pa;
-}
-
-BoundaryRows BuildBoundaryRows(const Fragment& f, FragmentContext* ctx) {
-  const FragmentContext::ReachRows& rows = ctx->reach_rows(f);
-  BoundaryRows out;
-  out.oset_globals = ctx->oset_globals(f);
-  out.rep_globals.reserve(rows.group_rep.size());
-  for (NodeId rep : rows.group_rep) out.rep_globals.push_back(f.ToGlobal(rep));
-  out.rows = rows.rows;
-  for (size_t i = 0; i < rows.in_group.size(); ++i) {
-    const NodeId in = f.in_nodes()[i];
-    const NodeId rep = rows.group_rep[rows.in_group[i]];
-    if (rep == in) continue;
-    out.aliases.emplace_back(f.ToGlobal(in), f.ToGlobal(rep));
-  }
-  return out;
-}
-
-WeightedBoundaryRows BuildWeightedBoundaryRows(const Fragment& f,
-                                               FragmentContext* ctx) {
-  const FragmentContext::DistRows& rows = ctx->dist_rows(f);
-  WeightedBoundaryRows out;
-  out.oset_globals = ctx->oset_globals(f);
-  out.rep_globals.reserve(rows.group_rep.size());
-  for (NodeId rep : rows.group_rep) out.rep_globals.push_back(f.ToGlobal(rep));
-  out.rows = rows.rows;
-  for (size_t i = 0; i < rows.in_group.size(); ++i) {
-    const NodeId in = f.in_nodes()[i];
-    const NodeId rep = rows.group_rep[rows.in_group[i]];
-    if (rep == in) continue;
-    out.aliases.emplace_back(f.ToGlobal(in), f.ToGlobal(rep));
-  }
-  return out;
-}
-
-ProductBoundaryRows BuildProductBoundaryRows(
-    const Fragment& f, FragmentContext* ctx, const std::string& signature_key,
-    const QueryAutomaton& canonical) {
-  const FragmentContext::RpqProduct& p =
-      ctx->rpq_product(f, signature_key, canonical);
-  const std::vector<NodeId>& oset_locals = ctx->oset_locals(f);
-  ProductBoundaryRows out;
-  out.oset_globals = ctx->oset_globals(f);
-  out.oset_masks.reserve(oset_locals.size());
-  for (NodeId w : oset_locals) out.oset_masks.push_back(p.compat[w]);
-  out.rep_pairs.reserve(p.group_rep.size());
-  for (uint32_t rep : p.group_rep) {
-    out.rep_pairs.push_back(
-        {f.ToGlobal(p.in_pairs[rep].first), p.in_pairs[rep].second});
-  }
-  out.rows = p.rows;
-  for (size_t i = 0; i < p.in_pairs.size(); ++i) {
-    const uint32_t g = p.in_group[i];
-    if (p.group_rep[g] == i) continue;
-    out.aliases.push_back(
-        {{f.ToGlobal(p.in_pairs[i].first), p.in_pairs[i].second}, g});
-  }
-  return out;
 }
 
 void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
@@ -450,9 +405,58 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
   }
 }
 
-// --- Worker-side round dispatch ---------------------------------------------
+// --- Round dispatch (every backend) -----------------------------------------
 
 namespace {
+
+/// Re-encodes a fragment's cached ReachRows (DistRows) into the global-id
+/// BoundaryRows (WeightedBoundaryRows) the coordinator's boundary index
+/// (weighted boundary index) consumes: the refresh round's reply bytes.
+template <typename Out, typename Rows>
+std::vector<uint8_t> EncodeBoundaryRows(const Fragment& f, FragmentContext* ctx,
+                                        const Rows& rows) {
+  Out out;
+  out.oset_globals = ctx->oset_globals(f);
+  out.rep_globals.reserve(rows.group_rep.size());
+  for (NodeId rep : rows.group_rep) out.rep_globals.push_back(f.ToGlobal(rep));
+  out.rows = rows.rows;
+  for (size_t i = 0; i < rows.in_group.size(); ++i) {
+    const NodeId in = f.in_nodes()[i];
+    const NodeId rep = rows.group_rep[rows.in_group[i]];
+    if (rep == in) continue;
+    out.aliases.emplace_back(f.ToGlobal(in), f.ToGlobal(rep));
+  }
+  Encoder reply;
+  out.Serialize(&reply);
+  return reply.TakeBuffer();
+}
+
+/// Re-encodes a fragment's cached per-automaton product structures into the
+/// global-id form the coordinator's product boundary index consumes.
+ProductBoundaryRows BuildProductBoundaryRows(
+    const Fragment& f, FragmentContext* ctx, const std::string& signature_key,
+    const QueryAutomaton& canonical) {
+  const FragmentContext::RpqProduct& p =
+      ctx->rpq_product(f, signature_key, canonical);
+  const std::vector<NodeId>& oset_locals = ctx->oset_locals(f);
+  ProductBoundaryRows out;
+  out.oset_globals = ctx->oset_globals(f);
+  out.oset_masks.reserve(oset_locals.size());
+  for (NodeId w : oset_locals) out.oset_masks.push_back(p.compat[w]);
+  out.rep_pairs.reserve(p.group_rep.size());
+  for (uint32_t rep : p.group_rep) {
+    out.rep_pairs.push_back(
+        {f.ToGlobal(p.in_pairs[rep].first), p.in_pairs[rep].second});
+  }
+  out.rows = p.rows;
+  for (size_t i = 0; i < p.in_pairs.size(); ++i) {
+    const uint32_t g = p.in_group[i];
+    if (p.group_rep[g] == i) continue;
+    out.aliases.push_back(
+        {{f.ToGlobal(p.in_pairs[i].first), p.in_pairs[i].second}, g});
+  }
+  return out;
+}
 
 /// A query as decoded from a round broadcast — Query minus the inline
 /// automaton (rpq queries reference the broadcast's canonical table).
@@ -464,7 +468,8 @@ struct WireQuery {
   uint32_t automaton_ref = 0;
 };
 
-/// The multiplexed all-sites batch: reproduce the RunBatch closure.
+/// The multiplexed all-sites batch: localEval for every query of the
+/// broadcast, partial answers multiplexed into one reply.
 Result<std::vector<uint8_t>> RunBatchEval(const Fragment& f,
                                           FragmentContext* ctx, uint8_t aux,
                                           Decoder* dec) {
@@ -663,22 +668,16 @@ Result<std::vector<uint8_t>> RunSiteRound(
   switch (kind) {
     case RoundKind::kBatchEval:
       return RunBatchEval(f, ctx, aux, &dec);
-    case RoundKind::kReachRows: {
+    case RoundKind::kReachRows:
+    case RoundKind::kDistRows:
       if (!broadcast.empty()) {
         return Status::Corruption("rows round: unexpected payload");
       }
-      Encoder reply;
-      BuildBoundaryRows(f, ctx).Serialize(&reply);
-      return reply.TakeBuffer();
-    }
-    case RoundKind::kDistRows: {
-      if (!broadcast.empty()) {
-        return Status::Corruption("rows round: unexpected payload");
+      if (kind == RoundKind::kReachRows) {
+        return EncodeBoundaryRows<BoundaryRows>(f, ctx, ctx->reach_rows(f));
       }
-      Encoder reply;
-      BuildWeightedBoundaryRows(f, ctx).Serialize(&reply);
-      return reply.TakeBuffer();
-    }
+      return EncodeBoundaryRows<WeightedBoundaryRows>(f, ctx,
+                                                      ctx->dist_rows(f));
     case RoundKind::kRpqRows:
       return RunRpqRows(f, ctx, &dec);
     case RoundKind::kReachSweep:

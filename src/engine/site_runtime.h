@@ -1,13 +1,9 @@
 #ifndef PEREACH_ENGINE_SITE_RUNTIME_H_
 #define PEREACH_ENGINE_SITE_RUNTIME_H_
 
-#include <string>
 #include <vector>
 
 #include "src/engine/fragment_context.h"
-#include "src/index/boundary_dist_index.h"
-#include "src/index/boundary_index.h"
-#include "src/index/boundary_rpq_index.h"
 #include "src/net/transport.h"
 #include "src/util/serialization.h"
 #include "src/util/status.h"
@@ -17,15 +13,11 @@ namespace pereach {
 /// The SITE half of every PartialEvalEngine round: the query-dependent
 /// sweeps and row re-encodings that run against one fragment plus its
 /// FragmentContext — everything a site contributes to a round, with no
-/// reference to coordinator state. The simulated backend's closures call
-/// these directly (zero-copy over the coordinator's fragments); the shm and
-/// socket backends reach them through RunSiteRound, which decodes a
-/// RoundSpec broadcast and reproduces the exact same reply bytes. One
-/// definition on both paths is what makes the backend differential suite
-/// (answers bit-identical across transports) hold by construction for the
-/// reach and dist classes, and answer-identical for rpq (workers evaluate
-/// the broadcast's canonical automata, which are language-equal to the
-/// originals the sim closures read in place).
+/// reference to coordinator state. Every backend reaches them through
+/// RunSiteRound, which decodes a RoundSpec broadcast: kSim in process over
+/// the coordinator's fragments, kSocket on its workers. One definition on
+/// every path is why the backend differential suite (answers, reply bytes
+/// and books bit-identical across transports) holds by construction.
 
 // Flag bits of a boundary sweep frame.
 inline constexpr uint8_t kFrameHasS = 1;       // s-side list present
@@ -36,38 +28,9 @@ inline constexpr uint8_t kFrameLocalTrue = 4;  // decided inside this fragment
 // — a cross-fragment route can still be shorter, so the lists follow.
 inline constexpr uint8_t kFrameHasLocalDist = 4;
 
-/// Rebases a partial answer produced against its own query-local oset table
-/// onto the fragment's shared (batch-wide) table; the answer's own table is
-/// dropped (batch bodies serialize against the shared one).
-ReachPartialAnswer RebaseOntoSharedOset(ReachPartialAnswer pa,
-                                        const FragmentContext& ctx);
-
-/// Components that locally reach `t_comp` (ascending scan; component ids
-/// are reverse topological).
-std::vector<bool> ComponentsReaching(const Condensation& cond, uint32_t t_comp);
-
-/// Components locally reachable from `s_comp` (descending scan).
-std::vector<bool> ComponentsReachableFrom(const Condensation& cond,
-                                          uint32_t s_comp);
-
 /// Closure-form reach partial answer straight from the cached rows.
 ReachPartialAnswer ReachFromCachedRows(const Fragment& f, FragmentContext* ctx,
                                        NodeId s, NodeId t);
-
-/// Re-encodes a fragment's cached ReachRows into the global-id form the
-/// coordinator's boundary index consumes.
-BoundaryRows BuildBoundaryRows(const Fragment& f, FragmentContext* ctx);
-
-/// Re-encodes a fragment's cached DistRows into the global-id form the
-/// coordinator's weighted boundary index consumes.
-WeightedBoundaryRows BuildWeightedBoundaryRows(const Fragment& f,
-                                               FragmentContext* ctx);
-
-/// Re-encodes a fragment's cached per-automaton product structures into the
-/// global-id form the coordinator's product boundary index consumes.
-ProductBoundaryRows BuildProductBoundaryRows(
-    const Fragment& f, FragmentContext* ctx, const std::string& signature_key,
-    const QueryAutomaton& canonical);
 
 /// The query-dependent halves of one dist query at one fragment, encoded
 /// for the weighted boundary answer path.
@@ -86,15 +49,15 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
                          const FragmentContext::RpqProduct& p, NodeId s,
                          NodeId t, Encoder* body);
 
-/// The worker entry point: decodes a round broadcast (tolerant decoding —
+/// The one site entry point: decodes a round broadcast (tolerant decoding —
 /// a corrupt or truncated payload returns Corruption, never aborts, so one
-/// bad frame cannot kill a worker process) and produces the same reply
-/// bytes the simulated closure for (kind, aux) would have produced against
-/// this fragment. `ctx` is the site's standing cache; it must be reset
-/// (fresh FragmentContext) whenever the fragment changes. The socket
-/// transport's degrade-local path (DESIGN.md §13.2) calls this same entry
-/// point over the coordinator's fragment copy when a site stays down, which
-/// is why a degraded round's reply bytes are identical to a healthy one's.
+/// bad frame cannot kill a worker process) and produces this fragment's
+/// reply bytes for (kind, aux). `ctx` is the site's standing cache; it must
+/// be reset (fresh FragmentContext) whenever the fragment changes. Workers
+/// call it over their fragment copies; the kSim backend and the socket
+/// transport's degrade-local path (DESIGN.md §13.2) call it over the
+/// coordinator's fragments and the engine's context cache, which is why a
+/// degraded round's reply bytes are identical to a healthy one's.
 Result<std::vector<uint8_t>> RunSiteRound(const Fragment& f,
                                           FragmentContext* ctx, RoundKind kind,
                                           uint8_t aux,

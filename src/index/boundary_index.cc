@@ -48,7 +48,10 @@ BoundaryRows BoundaryRows::Deserialize(Decoder* dec) {
     for (uint32_t& idx : out.rows[g]) {
       prev += static_cast<uint32_t>(dec->GetVarint());
       idx = prev;
-      PEREACH_CHECK_LT(idx, out.oset_globals.size());
+      if (!dec->Require(idx < out.oset_globals.size(),
+                        "boundary rows: oset index out of range")) {
+        return out;
+      }
     }
   }
   out.aliases.resize(dec->GetCount());
@@ -135,12 +138,22 @@ void BoundaryReachIndex::Ensure() {
       edges.emplace_back(intern(member), intern(rep));
     }
   }
+  // Honest rows have interned every oset entry by now; interning the whole
+  // tables anyway keeps every sweep exit resolvable whatever a reply held.
+  for (SiteId s = 0; s < num_fragments_; ++s) {
+    for (const NodeId g : fragment_rows_[s].oset_globals) intern(g);
+  }
 
   // Condensation + GRAIL labels: the coordinator core shared with the
   // product boundary graph (see ReachLabels).
   labels_.Build(dense_of_.size(), edges, shortcut_budget_);
   stale_ = false;
   ++rebuild_count_;
+}
+
+bool BoundaryReachIndex::IsBoundaryNode(NodeId global) const {
+  PEREACH_CHECK(!stale_ && "Ensure() before querying");
+  return dense_of_.contains(global);
 }
 
 uint32_t BoundaryReachIndex::DenseOf(NodeId global) const {

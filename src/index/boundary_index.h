@@ -93,7 +93,13 @@ class BoundaryReachIndex {
 
   /// The fragment's virtual-node table, as installed by SetFragmentRows —
   /// reach frames reference it by index, exactly like batched BES replies.
+  /// Ensure() interns every entry, so each is a boundary node.
   const std::vector<NodeId>& oset_globals(SiteId site) const;
+
+  /// True iff `global` is a boundary node of the current epoch — a valid
+  /// question endpoint. Callers taking endpoints from a site reply check
+  /// this first.
+  bool IsBoundaryNode(NodeId global) const;
 
   /// True iff boundary node u reaches boundary node v (reflexive). Both must
   /// be boundary nodes of the current epoch; CHECK-fails otherwise.

@@ -57,7 +57,10 @@ ProductBoundaryRows ProductBoundaryRows::Deserialize(Decoder* dec) {
     out.oset_masks[j] = dec->GetU64();
     // u_s never appears in a compatibility mask (it has no in-transitions
     // and matches no label); a set bit 0 marks a corrupt payload.
-    PEREACH_CHECK_EQ(out.oset_masks[j] & 1, uint64_t{0});
+    if (!dec->Require((out.oset_masks[j] & 1) == 0,
+                      "product rows: start state in a compatibility mask")) {
+      return out;
+    }
   }
   const size_t table_size = out.TableSize();
   const size_t groups = dec->GetCount(2);
@@ -66,22 +69,31 @@ ProductBoundaryRows ProductBoundaryRows::Deserialize(Decoder* dec) {
   for (size_t g = 0; g < groups; ++g) {
     out.rep_pairs[g].node = static_cast<NodeId>(dec->GetVarint());
     out.rep_pairs[g].state = dec->GetU8();
-    PEREACH_CHECK_LT(out.rep_pairs[g].state, QueryAutomaton::kMaxStates);
+    if (!dec->Require(out.rep_pairs[g].state < QueryAutomaton::kMaxStates,
+                      "product rows: rep state out of range")) {
+      return out;
+    }
     out.rows[g].resize(dec->GetCount());
     uint32_t prev = 0;
     for (uint32_t& idx : out.rows[g]) {
       prev += static_cast<uint32_t>(dec->GetVarint());
       idx = prev;
-      PEREACH_CHECK_LT(idx, table_size);
+      if (!dec->Require(idx < table_size,
+                        "product rows: table index out of range")) {
+        return out;
+      }
     }
   }
   out.aliases.resize(dec->GetCount(3));
   for (auto& [member, group] : out.aliases) {
     member.node = static_cast<NodeId>(dec->GetVarint());
     member.state = dec->GetU8();
-    PEREACH_CHECK_LT(member.state, QueryAutomaton::kMaxStates);
     group = static_cast<uint32_t>(dec->GetVarint());
-    PEREACH_CHECK_LT(group, groups);
+    if (!dec->Require(member.state < QueryAutomaton::kMaxStates,
+                      "product rows: alias state out of range") ||
+        !dec->Require(group < groups, "product rows: alias to no group")) {
+      return out;
+    }
   }
   return out;
 }

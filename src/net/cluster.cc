@@ -13,10 +13,7 @@ Cluster::Cluster(const Fragmentation* fragmentation, const NetworkModel& net,
     num_threads = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   pool_ = std::make_unique<ThreadPool>(num_threads);
-  sim_transport_ = MakeSimTransport(fragmentation_, pool_.get());
-  transport_ = transport.backend == TransportBackend::kSim
-                   ? MakeSimTransport(fragmentation_, pool_.get())
-                   : MakeTransport(transport, fragmentation_, pool_.get());
+  transport_ = MakeTransport(transport, fragmentation_, pool_.get());
 }
 
 Cluster::~Cluster() { transport_->Shutdown(); }
@@ -51,20 +48,17 @@ RunMetrics Cluster::EndQuery() {
   return out;
 }
 
-Result<std::vector<std::vector<uint8_t>>> Cluster::RoundInternal(
-    Transport* t, const std::vector<SiteId>& sites, const RoundSpec& spec,
-    const std::function<std::vector<uint8_t>(const Fragment&)>& fn) {
+void Cluster::ChargeRound(const std::vector<SiteId>& sites,
+                          size_t accounted_broadcast_bytes,
+                          const std::vector<std::vector<uint8_t>>& replies,
+                          double max_compute_ms) {
   const size_t k = sites.size();
-  std::vector<std::vector<uint8_t>> replies;
-  double max_compute = 0.0;
-  Status s = t->Execute(sites, spec, fn, &replies, &max_compute);
-  if (!s.ok()) return s;
   PEREACH_CHECK_EQ(replies.size(), k);
 
   // The books charge the round's PAYLOADS — broadcast and non-empty replies
   // — never the transport envelope, so modeled numbers are identical across
   // backends (and to the seed).
-  size_t round_bytes = spec.accounted_broadcast_bytes * k;
+  size_t round_bytes = accounted_broadcast_bytes * k;
   size_t num_messages = k;  // coordinator -> site broadcasts
   for (const std::vector<uint8_t>& reply : replies) {
     if (!reply.empty()) {
@@ -73,26 +67,31 @@ Result<std::vector<std::vector<uint8_t>>> Cluster::RoundInternal(
     }
   }
 
-  {
-    MutexLock lock(&mu_);
-    RunMetrics& m = ActiveWindowLocked().metrics;
-    for (size_t i = 0; i < k; ++i) m.site_visits[sites[i]] += 1;
-    m.traffic_bytes += round_bytes;
-    m.messages += num_messages;
-    m.rounds += 1;
-    m.modeled_ms +=
-        2 * net_.latency_ms + max_compute + net_.TransferMs(round_bytes);
-  }
-  return replies;
+  MutexLock lock(&mu_);
+  RunMetrics& m = ActiveWindowLocked().metrics;
+  for (size_t i = 0; i < k; ++i) m.site_visits[sites[i]] += 1;
+  m.traffic_bytes += round_bytes;
+  m.messages += num_messages;
+  m.rounds += 1;
+  m.modeled_ms +=
+      2 * net_.latency_ms + max_compute_ms + net_.TransferMs(round_bytes);
 }
 
 std::vector<std::vector<uint8_t>> Cluster::Round(
     const std::vector<SiteId>& sites, size_t broadcast_bytes,
     const std::function<std::vector<uint8_t>(const Fragment&)>& fn) {
-  RoundSpec spec;
-  spec.accounted_broadcast_bytes = broadcast_bytes;
-  // The simulated backend never fails.
-  return RoundInternal(sim_transport_.get(), sites, spec, fn).value();
+  const size_t k = sites.size();
+  std::vector<std::vector<uint8_t>> replies(k);
+  std::vector<double> compute_ms(k, 0.0);
+  pool_->ParallelFor(k, [&](size_t i) {
+    StopWatch watch;
+    replies[i] = fn(fragmentation_->fragment(sites[i]));
+    compute_ms[i] = watch.ElapsedMs();
+  });
+  double max_compute = 0.0;
+  for (double ms : compute_ms) max_compute = std::max(max_compute, ms);
+  ChargeRound(sites, broadcast_bytes, replies, max_compute);
+  return replies;
 }
 
 std::vector<std::vector<uint8_t>> Cluster::RoundAll(
@@ -103,14 +102,18 @@ std::vector<std::vector<uint8_t>> Cluster::RoundAll(
 
 Result<std::vector<std::vector<uint8_t>>> Cluster::TryRound(
     const std::vector<SiteId>& sites, const RoundSpec& spec,
-    const std::function<std::vector<uint8_t>(const Fragment&)>& fn) {
-  return RoundInternal(transport_.get(), sites, spec, fn);
+    FragmentContextCache* local) {
+  std::vector<std::vector<uint8_t>> replies;
+  double max_compute = 0.0;
+  Status s = transport_->Execute(sites, spec, local, &replies, &max_compute);
+  if (!s.ok()) return s;
+  ChargeRound(sites, spec.accounted_broadcast_bytes, replies, max_compute);
+  return replies;
 }
 
 Result<std::vector<std::vector<uint8_t>>> Cluster::TryRoundAll(
-    const RoundSpec& spec,
-    const std::function<std::vector<uint8_t>(const Fragment&)>& fn) {
-  return RoundInternal(transport_.get(), AllSites(), spec, fn);
+    const RoundSpec& spec, FragmentContextCache* local) {
+  return TryRound(AllSites(), spec, local);
 }
 
 Status Cluster::SyncFragments() { return transport_->SyncFragments(); }

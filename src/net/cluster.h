@@ -17,15 +17,15 @@
 
 namespace pereach {
 
-/// Cluster: one site per fragment plus a coordinator. HOW a round executes
-/// is delegated to a Transport (DESIGN.md §13) chosen at construction:
-/// simulated in-process closures (the default — "threads simulate
-/// partitions"), in-process shared-memory workers, or real pereach_worker
-/// processes over sockets. The cluster keeps the books either way: per-site
-/// visit counts, traffic, message counts, and a modeled response time
-/// combining per-site compute with the NetworkModel — modeled accounting is
-/// byte-identical across backends because it charges the round's payloads,
-/// never the transport envelope.
+/// Cluster: one site per fragment plus a coordinator. HOW a serving round
+/// executes is delegated to a Transport (DESIGN.md §13) chosen at
+/// construction: in-process site evaluation on the pool (the default —
+/// "threads simulate partitions") or real pereach_worker processes over
+/// sockets. The cluster keeps the books either way: per-site visit counts,
+/// traffic, message counts, and a modeled response time combining per-site
+/// compute with the NetworkModel — modeled accounting is byte-identical
+/// across backends because it charges the round's payloads, never the
+/// transport envelope.
 ///
 /// The three-phase pattern of the paper (§2.2) maps onto:
 ///   cluster.BeginQuery();
@@ -53,8 +53,8 @@ namespace pereach {
 class Cluster {
  public:
   /// `fragmentation` must outlive the cluster. `num_threads` == 0 picks
-  /// hardware concurrency. `transport` selects the serving backend;
-  /// defaults preserve the simulated seed behavior exactly.
+  /// hardware concurrency. `transport` selects the serving backend
+  /// (default kSim).
   Cluster(const Fragmentation* fragmentation, const NetworkModel& net,
           size_t num_threads = 0, TransportOptions transport = {});
 
@@ -83,9 +83,9 @@ class Cluster {
   /// reply payload (one message each; empty replies send no message).
   /// Records one visit per listed site and advances the modeled clock by
   ///   2·latency + max(site compute) + transfer(all bytes of the round).
-  /// Always executes on the simulated backend regardless of the serving
-  /// transport — the baselines' bespoke closures have no wire encoding, and
-  /// their modeled numbers must not depend on the backend under test.
+  /// Always runs on the pool regardless of the serving transport — the
+  /// baselines' bespoke site functions have no wire encoding, and their
+  /// modeled numbers must not depend on the backend under test.
   std::vector<std::vector<uint8_t>> Round(
       const std::vector<SiteId>& sites, size_t broadcast_bytes,
       const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
@@ -95,20 +95,20 @@ class Cluster {
       size_t broadcast_bytes,
       const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
 
-  /// One round on the SERVING transport: the simulated backend runs `fn`
-  /// (bit-identical to Round); the shm/socket backends ship `spec` and the
-  /// worker-side decoder reproduces it. Fails — instead of aborting — when
-  /// a worker is dead, hung past its read deadline, or framed garbage; the
-  /// books are only charged on success, and the failed connection
-  /// re-establishes on its next round.
+  /// One round on the SERVING transport: every listed site evaluates `spec`
+  /// with site_runtime::RunSiteRound — in process over its fragment and
+  /// `local`'s context for it (kSim, and kSocket's degraded sites), or on
+  /// its worker (kSocket). Fails — instead of aborting — when the spec does
+  /// not decode, or a worker is dead, hung past its read deadline, or
+  /// framed garbage; the books are only charged on success, and the failed
+  /// connection re-establishes on its next round.
   Result<std::vector<std::vector<uint8_t>>> TryRound(
       const std::vector<SiteId>& sites, const RoundSpec& spec,
-      const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
+      FragmentContextCache* local);
 
   /// TryRound() over all sites.
   Result<std::vector<std::vector<uint8_t>>> TryRoundAll(
-      const RoundSpec& spec,
-      const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
+      const RoundSpec& spec, FragmentContextCache* local);
 
   /// Re-ships post-update fragment state to transports that hold copies
   /// (no-op on the simulated backend). Call after mutating the graph, under
@@ -149,11 +149,12 @@ class Cluster {
     StopWatch watch;
   };
 
-  /// Executes one round on `t` and, on success, charges the caller's open
-  /// window with the seed's exact accounting.
-  Result<std::vector<std::vector<uint8_t>>> RoundInternal(
-      Transport* t, const std::vector<SiteId>& sites, const RoundSpec& spec,
-      const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
+  /// Charges the caller's open window with one completed round: the
+  /// broadcast bytes once per listed site plus every non-empty reply.
+  void ChargeRound(const std::vector<SiteId>& sites,
+                   size_t accounted_broadcast_bytes,
+                   const std::vector<std::vector<uint8_t>>& replies,
+                   double max_compute_ms);
 
   std::vector<SiteId> AllSites() const;
 
@@ -164,7 +165,6 @@ class Cluster {
   const Fragmentation* fragmentation_;
   NetworkModel net_;
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<Transport> sim_transport_;
   std::unique_ptr<Transport> transport_;
 
   mutable Mutex mu_{LockRank::kClusterMetrics};

@@ -214,54 +214,27 @@ std::vector<uint8_t> SerializeFragment(const Fragment& f) {
   return enc.TakeBuffer();
 }
 
+/// One site's share of a round evaluated in process: the same RunSiteRound
+/// a worker runs, over the coordinator's fragment and the calling engine's
+/// standing context for that site.
+Result<std::vector<uint8_t>> RunLocally(const Fragmentation& fragmentation,
+                                        FragmentContextCache* local,
+                                        SiteId site, const RoundSpec& spec) {
+  return RunSiteRound(fragmentation.fragment(site), &local->Get(site),
+                      spec.kind, spec.aux, spec.broadcast);
+}
+
 // --- kSim -------------------------------------------------------------------
 
-/// The seed behavior, verbatim: every listed site runs the engine's closure
-/// over the coordinator-resident fragment on the pool, with a per-site
-/// stopwatch feeding the modeled clock.
+/// Every listed site runs RunLocally on the pool, with a per-site stopwatch
+/// feeding the modeled clock. A spec that does not decode fails the round.
 class SimTransport : public Transport {
  public:
   SimTransport(const Fragmentation* fragmentation, ThreadPool* pool)
       : fragmentation_(fragmentation), pool_(pool) {}
 
-  Status Execute(const std::vector<SiteId>& sites, const RoundSpec& /*spec*/,
-                 const SiteFn& sim_fn,
-                 std::vector<std::vector<uint8_t>>* replies,
-                 double* max_compute_ms) override {
-    const size_t k = sites.size();
-    replies->assign(k, {});
-    std::vector<double> compute_ms(k, 0.0);
-    pool_->ParallelFor(k, [&](size_t i) {
-      const Fragment& frag = fragmentation_->fragment(sites[i]);
-      StopWatch watch;
-      (*replies)[i] = sim_fn(frag);
-      compute_ms[i] = watch.ElapsedMs();
-    });
-    *max_compute_ms = 0.0;
-    for (double ms : compute_ms) *max_compute_ms = std::max(*max_compute_ms, ms);
-    return Status::OK();
-  }
-
- private:
-  const Fragmentation* fragmentation_;
-  ThreadPool* pool_;
-};
-
-// --- kShm -------------------------------------------------------------------
-
-/// Single-box sharding: each site owns a deserialized COPY of its fragment
-/// plus its own FragmentContext, and every round goes through the same
-/// RoundSpec encode/decode the socket backend ships — full wire coverage,
-/// no processes.
-class ShmTransport : public Transport {
- public:
-  ShmTransport(const Fragmentation* fragmentation, ThreadPool* pool)
-      : fragmentation_(fragmentation), pool_(pool) {
-    RebuildRuntimes();
-  }
-
   Status Execute(const std::vector<SiteId>& sites, const RoundSpec& spec,
-                 const SiteFn& /*sim_fn*/,
+                 FragmentContextCache* local,
                  std::vector<std::vector<uint8_t>>* replies,
                  double* max_compute_ms) override {
     const size_t k = sites.size();
@@ -269,11 +242,9 @@ class ShmTransport : public Transport {
     std::vector<double> compute_ms(k, 0.0);
     std::vector<Status> statuses(k, Status::OK());
     pool_->ParallelFor(k, [&](size_t i) {
-      WorkerRuntime& rt = *runtimes_[sites[i]];
-      MutexLock lock(&rt.io_mu);
       StopWatch watch;
-      Result<std::vector<uint8_t>> r = RunSiteRound(
-          rt.fragment, &rt.ctx, spec.kind, spec.aux, spec.broadcast);
+      Result<std::vector<uint8_t>> r =
+          RunLocally(*fragmentation_, local, sites[i], spec);
       compute_ms[i] = watch.ElapsedMs();
       if (r.ok()) {
         (*replies)[i] = std::move(r).value();
@@ -289,37 +260,9 @@ class ShmTransport : public Transport {
     return Status::OK();
   }
 
-  Status SyncFragments() override {
-    RebuildRuntimes();
-    return Status::OK();
-  }
-
  private:
-  struct WorkerRuntime {
-    explicit WorkerRuntime(Fragment f) : fragment(std::move(f)) {}
-    Fragment fragment;
-    FragmentContext ctx;
-    /// Serializes rounds on one site: overlapping per-class dispatcher
-    /// batches must not race on the site's standing context.
-    Mutex io_mu{LockRank::kTransportConn};
-  };
-
-  /// Round-trips every fragment through its wire format — the copies are
-  /// exactly what a remote worker would hold.
-  void RebuildRuntimes() {
-    runtimes_.clear();
-    for (SiteId s = 0; s < fragmentation_->num_fragments(); ++s) {
-      const std::vector<uint8_t> bytes =
-          SerializeFragment(fragmentation_->fragment(s));
-      Decoder dec(bytes);
-      runtimes_.push_back(
-          std::make_unique<WorkerRuntime>(Fragment::Deserialize(&dec)));
-    }
-  }
-
   const Fragmentation* fragmentation_;
   ThreadPool* pool_;
-  std::vector<std::unique_ptr<WorkerRuntime>> runtimes_;
 };
 
 // --- kSocket ----------------------------------------------------------------
@@ -448,8 +391,8 @@ enum class FaultKind : uint8_t {
 /// rounds are idempotent given fragment state, so a site whose exchange
 /// fails is re-established and its share re-dispatched up to round_retries
 /// times, all under one whole-round deadline; when retries exhaust or the
-/// site's circuit breaker is open, degrade_local evaluates the RoundSpec on
-/// the coordinator's own fragment copy — the batch completes either way. A
+/// site's circuit breaker is open, degrade_local evaluates the RoundSpec in
+/// process exactly as kSim does — the batch completes either way. A
 /// WorkerSupervisor repairs dead connections in the background so
 /// re-establishment (respawn/reconnect + Hello + fragment re-ship) leaves
 /// the serving hot path.
@@ -469,7 +412,6 @@ class SocketTransport : public Transport {
         conns_.push_back(std::make_unique<Connection>());
         conns_.back()->jitter_state =
             SplitMix64(options_.backoff_jitter_seed + s);
-        local_.push_back(std::make_unique<LocalRuntime>());
         frag_bytes_.push_back(SerializeFragment(fragmentation_->fragment(s)));
         fault_killed_[s].store(false, std::memory_order_relaxed);
       }
@@ -482,7 +424,7 @@ class SocketTransport : public Transport {
   ~SocketTransport() override { Shutdown(); }
 
   Status Execute(const std::vector<SiteId>& sites, const RoundSpec& spec,
-                 const SiteFn& /*sim_fn*/,
+                 FragmentContextCache* local,
                  std::vector<std::vector<uint8_t>>* replies,
                  double* max_compute_ms) override {
     const size_t k = sites.size();
@@ -495,7 +437,7 @@ class SocketTransport : public Transport {
     // a round (or the Stop() drain behind it) past this.
     const WireTime deadline = WireDeadline(options_.round_deadline_ms);
     pool_->ParallelFor(k, [&](size_t i) {
-      statuses[i] = RoundOnSite(sites[i], spec, round, deadline,
+      statuses[i] = RoundOnSite(sites[i], spec, local, round, deadline,
                                 &(*replies)[i], &compute_ms[i]);
     });
     *max_compute_ms = 0.0;
@@ -516,12 +458,6 @@ class SocketTransport : public Transport {
       for (SiteId s = 0; s < conns_.size(); ++s) {
         frag_bytes_[s] = SerializeFragment(fragmentation_->fragment(s));
       }
-    }
-    // The degrade-local contexts cache per-fragment structure; the
-    // fragments just changed under us.
-    for (std::unique_ptr<LocalRuntime>& rt : local_) {
-      MutexLock lock(&rt->eval_mu);
-      rt->ctx = std::make_unique<FragmentContext>();
     }
     // A site that fails to sync is marked dead, which is already safe: its
     // next round re-establishes with a Hello carrying the CURRENT fragment,
@@ -619,16 +555,6 @@ class SocketTransport : public Transport {
     Mutex io_mu{LockRank::kTransportConn};
   };
 
-  /// Per-site runtime of the degrade_local path: a standing context over
-  /// the coordinator's own fragment, reset whenever the fragments change.
-  struct LocalRuntime {
-    std::unique_ptr<FragmentContext> ctx = std::make_unique<FragmentContext>();
-    /// Serializes degraded rounds on one site (FragmentContext is
-    /// single-threaded); never nested with io_mu — degradation starts only
-    /// after the exchange released it.
-    Mutex eval_mu{LockRank::kTransportConn};
-  };
-
   /// One request/reply exchange on an established connection, the whole
   /// thing bounded by `deadline` (also capped by read_timeout_ms per
   /// message). Any failure — EOF, expired deadline, framing corruption —
@@ -680,7 +606,8 @@ class SocketTransport : public Transport {
   /// recomputes the identical reply. Worker-REPORTED errors (a cleanly
   /// framed failure from a live worker) are deterministic and final: no
   /// retry, no degradation.
-  Status RoundOnSite(SiteId site, const RoundSpec& spec, uint64_t round,
+  Status RoundOnSite(SiteId site, const RoundSpec& spec,
+                     FragmentContextCache* local, uint64_t round,
                      WireTime deadline, std::vector<uint8_t>* payload,
                      double* compute_ms) {
     Status last = Status::Internal("transport: round never attempted");
@@ -712,7 +639,7 @@ class SocketTransport : public Transport {
       last = s;
     }
     if (options_.degrade_local) {
-      return DegradeLocal(site, spec, payload, compute_ms);
+      return DegradeLocal(site, spec, local, payload, compute_ms);
     }
     return last;
   }
@@ -791,22 +718,22 @@ class SocketTransport : public Transport {
     return s;
   }
 
-  /// The degradation path: evaluate this site's share of the round locally,
-  /// over the coordinator's own fragment copy. site_runtime::RunSiteRound
-  /// is the same decoder the workers run, and serialization round-trips are
-  /// exact, so the reply bytes are identical to a healthy worker's — the
-  /// batch completes, answers and modeled books unchanged.
+  /// The degradation path: evaluate this site's share of the round in
+  /// process, exactly as kSim does. RunSiteRound is the same decoder the
+  /// workers run, and serialization round-trips are exact, so the reply
+  /// bytes are identical to a healthy worker's — the batch completes,
+  /// answers and modeled books unchanged. `local` is the calling engine's
+  /// context cache, which the update listener invalidates per touched
+  /// fragment; each site of a round runs on one pool thread.
   Status DegradeLocal(SiteId site, const RoundSpec& spec,
+                      FragmentContextCache* local,
                       std::vector<uint8_t>* payload, double* compute_ms) {
-    LocalRuntime& rt = *local_[site];
-    MutexLock lock(&rt.eval_mu);
     StopWatch watch;
     Result<std::vector<uint8_t>> r =
-        RunSiteRound(fragmentation_->fragment(site), rt.ctx.get(), spec.kind,
-                     spec.aux, spec.broadcast);
-    if (compute_ms != nullptr) *compute_ms = watch.ElapsedMs();
+        RunLocally(*fragmentation_, local, site, spec);
+    *compute_ms = watch.ElapsedMs();
     if (!r.ok()) return r.status();
-    if (payload != nullptr) *payload = std::move(r).value();
+    *payload = std::move(r).value();
     degraded_.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
@@ -881,7 +808,7 @@ class SocketTransport : public Transport {
       ReapLocked(c);
       Status s =
           options_.connect.empty()
-              ? SpawnLocked(site, c)
+              ? SpawnLocked(c)
               : ConnectEndpoint(options_.connect[site],
                                 BudgetMs(deadline, options_.connect_timeout_ms),
                                 &c->fd);
@@ -901,7 +828,7 @@ class SocketTransport : public Transport {
     return last;
   }
 
-  Status SpawnLocked(SiteId site, Connection* c) {
+  Status SpawnLocked(Connection* c) {
     int sv[2];
     if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, sv) != 0) {
       return Status::Internal(std::string("transport: socketpair: ") +
@@ -977,7 +904,6 @@ class SocketTransport : public Transport {
   const Fragmentation* fragmentation_;
   ThreadPool* pool_;
   std::vector<std::unique_ptr<Connection>> conns_;
-  std::vector<std::unique_ptr<LocalRuntime>> local_;
   /// Serialized fragment snapshots shipped by Hello and Sync; written only
   /// under the writer-held epoch gate, read during establishment.
   Mutex frag_mu_{LockRank::kTransportFrag};
@@ -999,8 +925,6 @@ std::unique_ptr<Transport> MakeTransport(const TransportOptions& options,
   switch (options.backend) {
     case TransportBackend::kSim:
       return std::make_unique<SimTransport>(fragmentation, pool);
-    case TransportBackend::kShm:
-      return std::make_unique<ShmTransport>(fragmentation, pool);
     case TransportBackend::kSocket:
       if (!options.connect.empty()) {
         PEREACH_CHECK_EQ(options.connect.size(),
@@ -1010,11 +934,6 @@ std::unique_ptr<Transport> MakeTransport(const TransportOptions& options,
   }
   PEREACH_CHECK(false && "unknown transport backend");
   return nullptr;
-}
-
-std::unique_ptr<Transport> MakeSimTransport(const Fragmentation* fragmentation,
-                                            ThreadPool* pool) {
-  return std::make_unique<SimTransport>(fragmentation, pool);
 }
 
 }  // namespace pereach

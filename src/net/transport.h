@@ -2,7 +2,6 @@
 #define PEREACH_NET_TRANSPORT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,19 +12,19 @@
 
 namespace pereach {
 
-/// How a Cluster executes its communication rounds (DESIGN.md §13).
+class FragmentContextCache;
+
+/// How a Cluster executes its communication rounds (DESIGN.md §13). Both
+/// backends evaluate a site's share of a round the same way: they decode the
+/// round's RoundSpec with site_runtime::RunSiteRound.
 ///
-///  - kSim: the seed behavior — sites are closures on an in-process thread
-///    pool reading the coordinator's own data structures. Zero-copy, fully
-///    deterministic, modeled cost only.
-///  - kShm: single-box sharding — each site owns a deserialized COPY of its
-///    fragment plus its own FragmentContext, and rounds go through the same
-///    encoded RoundSpec the socket backend ships, still on the in-process
-///    pool. Exercises every wire encode/decode path without processes.
+///  - kSim: every site runs RunSiteRound in process, on the pool, over the
+///    coordinator's own fragment and the calling engine's context cache.
+///    Zero-copy, fully deterministic, modeled cost only.
 ///  - kSocket: one pereach_worker process (or remote TCP endpoint) per
 ///    fragment; the coordinator scatters length-prefixed frames and gathers
 ///    replies per round. Real wall-clock serving.
-enum class TransportBackend : uint8_t { kSim = 0, kShm = 1, kSocket = 2 };
+enum class TransportBackend : uint8_t { kSim = 0, kSocket = 1 };
 
 /// Deterministic fault injection for the socket transport (tests, chaos
 /// benches). When enabled, each (round, site) pair draws from a pure hash
@@ -50,10 +49,9 @@ struct FaultPlan {
   bool kill_each_site = false;
 };
 
-/// Construction-time knobs of the transport seam. Defaults preserve the
-/// seed's simulated behavior exactly.
+/// Construction-time knobs of the transport seam. Defaults select kSim.
 struct TransportOptions {
-  /// Which backend executes rounds (kSim, kShm, kSocket).
+  /// Which backend executes rounds (kSim, kSocket).
   TransportBackend backend = TransportBackend::kSim;
   /// kSocket spawn mode: path of the pereach_worker binary. Empty resolves
   /// to "pereach_worker" next to the running executable.
@@ -90,9 +88,9 @@ struct TransportOptions {
   /// <= 0 disables the cap.
   int round_deadline_ms = 20000;
   /// When a site's retries exhaust (or its breaker is open), evaluate that
-  /// fragment's RoundSpec locally on the coordinator's own fragment copy
-  /// via site_runtime::RunSiteRound instead of failing the round. Answers
-  /// are bit-identical by construction; the batch completes.
+  /// fragment's RoundSpec locally, exactly as kSim does, instead of failing
+  /// the round. Answers are bit-identical by construction; the batch
+  /// completes.
   bool degrade_local = true;
   /// Consecutive failures on one connection that trip its circuit breaker
   /// open (<= 0 disables the breaker).
@@ -104,10 +102,9 @@ struct TransportOptions {
   FaultPlan fault_plan;
 };
 
-/// What a round asks every listed site to do. The simulated backend ignores
-/// the encoding and runs the engine's closure directly; the shm and socket
-/// backends ship `broadcast` and the worker-side decoder
-/// (site_runtime::RunSiteRound) reproduces the closure from it.
+/// What a round asks every listed site to do. Every backend evaluates it
+/// with site_runtime::RunSiteRound: kSim in process, kSocket on its workers
+/// after shipping `broadcast` verbatim.
 enum class RoundKind : uint8_t {
   kBatchEval = 0,   // multiplexed localEval/localEvald/localEvalr batch
   kReachRows = 1,   // refresh: closure boundary rows (BoundaryReachIndex)
@@ -174,13 +171,9 @@ Status ReadWireMessage(int fd, int timeout_ms, size_t max_frame_bytes,
 
 // --- The transport seam -----------------------------------------------------
 
-/// One site's work in a simulated round: the engine's closure over the
-/// coordinator-resident fragment.
-using SiteFn = std::function<std::vector<uint8_t>(const Fragment&)>;
-
 /// Monotonic recovery counters plus the breaker gauge, sampled lock-free.
-/// In-process backends report all zeros; QueryServer::Metrics() imports
-/// these into the server_transport_* metric families.
+/// kSim reports all zeros; QueryServer::Metrics() imports these into the
+/// server_transport_* metric families.
 struct TransportHealth {
   uint64_t round_retries = 0;        // in-round re-dispatch attempts
   uint64_t worker_respawns = 0;      // re-establishments after first Hello
@@ -197,12 +190,13 @@ class Transport {
 
   /// Runs one round on `sites`: reply payload per listed site (in order)
   /// plus the maximum per-site compute time, for the modeled clock. On any
-  /// site failure (dead/hung worker, corrupt frame) returns a non-OK status
-  /// and the round's replies must not be used; in-process backends never
-  /// fail. `sim_fn` is what the simulated backend runs; the others decode
-  /// `spec` instead.
+  /// site failure (dead/hung worker, corrupt frame, a spec that does not
+  /// decode) returns a non-OK status and the round's replies must not be
+  /// used. Sites evaluated in process (every site on kSim, degraded sites
+  /// on kSocket) run RunSiteRound over the coordinator's fragment and
+  /// `local`'s context for that site.
   virtual Status Execute(const std::vector<SiteId>& sites,
-                         const RoundSpec& spec, const SiteFn& sim_fn,
+                         const RoundSpec& spec, FragmentContextCache* local,
                          std::vector<std::vector<uint8_t>>* replies,
                          double* max_compute_ms) = 0;
 
@@ -220,10 +214,10 @@ class Transport {
   virtual void Shutdown() {}
 
   /// kSocket spawn mode: pids of the live worker processes (test hook for
-  /// failure injection). Empty for other backends/modes.
+  /// failure injection). Empty for kSim and connect mode.
   virtual std::vector<int> WorkerPidsForTest() { return {}; }
 
-  /// Recovery counters and breaker state (zeros for in-process backends).
+  /// Recovery counters and breaker state (zeros for kSim).
   virtual TransportHealth Health() const { return {}; }
 };
 
@@ -232,11 +226,6 @@ class Transport {
 std::unique_ptr<Transport> MakeTransport(const TransportOptions& options,
                                          const Fragmentation* fragmentation,
                                          ThreadPool* pool);
-
-/// The simulated backend, unconditionally — Cluster::Round keeps the
-/// baselines' bespoke closures on it regardless of the serving backend.
-std::unique_ptr<Transport> MakeSimTransport(const Fragmentation* fragmentation,
-                                            ThreadPool* pool);
 
 }  // namespace pereach
 

@@ -20,7 +20,8 @@ enum class RejectReason : uint8_t {
   /// The server is stopping (or stopped); the query was never evaluated.
   kStopping,
   /// The query cannot be evaluated (an rpq whose regex exceeded the
-  /// automaton state cap carries no automaton).
+  /// automaton state cap carries no automaton, or an endpoint names a node
+  /// the graph does not have).
   kMalformed,
   /// The query's class queue is at its entry budget (admission.max_queue).
   kQueueFull,

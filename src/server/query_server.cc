@@ -52,6 +52,7 @@ QueryServer::QueryServer(IncrementalReachIndex* index, ServerOptions options)
       cluster_(&index->fragmentation(), options.net, options.cluster_threads,
                options.transport),
       index_epoch_base_(index->epoch()),
+      num_nodes_(index->fragmentation().num_nodes()),
       cache_(options.cache) {
   for (size_t c = 0; c < kNumClasses; ++c) {
     queues_[c] = std::make_unique<BatchQueue>(options_.policy,
@@ -110,11 +111,13 @@ std::future<ServedAnswer> QueryServer::Submit(Query query, TenantId tenant) {
   // Push itself, which decides under the queue lock. A submission that loses
   // the race against Stop() — probe passes, queue shuts down, Push rejects —
   // resolves as rejected here rather than aborting in the queue.
-  // A malformed regular query — an oversized regex leaves Query::Rpq with
-  // no automaton — is rejected here instead of CHECK-aborting the
+  // A malformed query — an oversized regex leaves Query::Rpq with no
+  // automaton, or an endpoint names a node the graph does not have — is
+  // rejected here instead of CHECK-aborting (or misanswering in) the
   // dispatcher's engine: the client sees a rejected answer, the server
   // keeps serving everyone else.
-  if (!pending.query.well_formed()) {
+  if (!pending.query.well_formed() || pending.query.source >= num_nodes_ ||
+      pending.query.target >= num_nodes_) {
     Reject(&pending.promise, RejectReason::kMalformed);
     return future;
   }

@@ -43,8 +43,8 @@ struct ServerOptions {
   /// Backpressure budgets and tenant quotas (default unbounded — set every
   /// budget in production; DESIGN.md §11.2, docs/OPERATIONS.md for tuning).
   AdmissionOptions admission;
-  /// Serving transport behind the cluster's rounds (default simulated
-  /// in-process; kShm and kSocket serve over real workers, DESIGN.md §13).
+  /// Serving transport behind the cluster's rounds (default in-process
+  /// kSim; kSocket serves over real workers, DESIGN.md §13).
   /// A transport failure rejects the affected batch (kTransportError) and
   /// the server keeps serving.
   TransportOptions transport;
@@ -195,6 +195,9 @@ class QueryServer {
   // Updates the index had applied before this server attached; the gate's
   // epochs count from here.
   uint64_t index_epoch_base_ = 0;
+  // Node count of the served graph; AddEdges never adds nodes, so a query
+  // endpoint at or past it is malformed for the server's whole lifetime.
+  size_t num_nodes_ = 0;
 
   std::array<std::unique_ptr<BatchQueue>, kNumClasses> queues_;
   std::array<std::unique_ptr<PartialEvalEngine>, kNumClasses> engines_;

@@ -28,6 +28,8 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/graph.h"
 #include "src/index/boundary_dist_index.h"
+#include "src/index/boundary_index.h"
+#include "src/index/boundary_rpq_index.h"
 #include "src/net/cluster.h"
 #include "src/net/supervisor.h"
 #include "src/net/transport.h"
@@ -118,6 +120,76 @@ TEST(FailureTest, WeightedRowsDecoderRejectsAliasToUnknownRep) {
   (void)WeightedBoundaryRows::Deserialize(&dec);
   EXPECT_FALSE(dec.ok());
   EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+}
+
+// The reach and rpq rows decoders check content the same way: a row index
+// past the oset (or pair) table, a start-state bit in a compatibility mask,
+// a state past the automaton cap, or an alias naming no group fails a
+// kStatus decode instead of CHECK-aborting the coordinator.
+TEST(FailureTest, ReachRowsDecoderRejectsOsetIndexPastTable) {
+  BoundaryRows rows;
+  rows.oset_globals = {3, 9};
+  rows.rep_globals = {12, 25};
+  rows.rows = {{0}, {1, 2}};  // index 2 of a 2-entry table
+  Encoder enc;
+  rows.Serialize(&enc);
+  Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+  (void)BoundaryRows::Deserialize(&dec);
+  EXPECT_FALSE(dec.ok());
+  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+}
+
+// Each edit leaves a ProductBoundaryRows serializable but breaks one
+// invariant its decoder checks. Additive, so they apply to any rows.
+void StartStateInMask(ProductBoundaryRows* rows) {
+  rows->oset_globals.push_back(9);
+  rows->oset_masks.push_back(1);  // bit 0 is u_s
+}
+
+void RepStatePastCap(ProductBoundaryRows* rows) {
+  rows->rep_pairs.push_back({9, QueryAutomaton::kMaxStates});
+  rows->rows.emplace_back();
+}
+
+void ProductIndexPastTable(ProductBoundaryRows* rows) {
+  rows->rep_pairs.push_back({9, 2});
+  rows->rows.push_back({static_cast<uint32_t>(rows->TableSize())});
+}
+
+void AliasStatePastCap(ProductBoundaryRows* rows) {
+  rows->aliases.push_back({{9, QueryAutomaton::kMaxStates}, 0});
+}
+
+void AliasToNoGroup(ProductBoundaryRows* rows) {
+  rows->aliases.push_back(
+      {{9, 2}, static_cast<uint32_t>(rows->rep_pairs.size())});
+}
+
+using ProductRowsEdit = void (*)(ProductBoundaryRows*);
+
+std::vector<ProductRowsEdit> ProductRowsEdits() {
+  return {StartStateInMask, RepStatePastCap, ProductIndexPastTable,
+          AliasStatePastCap, AliasToNoGroup};
+}
+
+TEST(FailureTest, ProductRowsDecoderRejectsEveryBrokenInvariant) {
+  const std::vector<ProductRowsEdit> edits = ProductRowsEdits();
+  for (size_t i = 0; i < edits.size(); ++i) {
+    SCOPED_TRACE("edit " + std::to_string(i));
+    ProductBoundaryRows rows;
+    rows.oset_globals = {3, 9};
+    rows.oset_masks = {0b1100, 0b0110};  // table: (3,2) (3,3) (9,1) (9,2)
+    rows.rep_pairs = {{12, 2}};
+    rows.rows = {{0, 3}};
+    rows.aliases = {{{14, 2}, 0}};
+    edits[i](&rows);
+    Encoder enc;
+    rows.Serialize(&enc);
+    Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+    (void)ProductBoundaryRows::Deserialize(&dec);
+    EXPECT_FALSE(dec.ok());
+    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(FailureTest, GraphBuilderRejectsUnknownEndpoints) {
@@ -593,6 +665,225 @@ TEST(TransportFailureTest, ForgedDistRepliesRejectBatchesNotProcess) {
     EXPECT_EQ(served.answers[0].distance,
               BfsDistance(ex.graph, ex.pat, ex.mark));
   }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
+}
+
+/// Serves sites 0 and 1 with the real worker loop and site 2 through
+/// `forgeries`, one per matching round in order; `applied` counts the ones
+/// sent.
+void ServeForgeries(FakeWorkers* workers, const std::vector<Forgery>* forgeries,
+                    std::atomic<size_t>* applied) {
+  workers->ServeHealthy(0);
+  workers->ServeHealthy(1);
+  workers->Run([=] {
+    const int fd = workers->Accept(2);
+    if (fd < 0) return;
+    ServeTampered(fd, [&](RoundKind kind, std::vector<uint8_t>* payload) {
+      const size_t next = applied->load();
+      if (next < forgeries->size() && (*forgeries)[next].kind == kind) {
+        (*forgeries)[next].apply(payload);
+        applied->store(next + 1);
+      }
+    });
+  });
+}
+
+/// Runs `batch` once per forgery — each must be rejected with Corruption
+/// after its forgery went out — then once more, served correctly.
+void ExpectForgeriesRejected(const Fragmentation& frag,
+                             const FakeWorkers& workers,
+                             const PartialEvalOptions& options,
+                             const std::vector<Query>& batch,
+                             size_t num_forgeries,
+                             const std::atomic<size_t>& applied) {
+  Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
+                  ConnectOptions(workers));
+  PartialEvalEngine engine(&cluster, options);
+  for (size_t i = 0; i < num_forgeries; ++i) {
+    const BatchAnswer rejected = engine.EvaluateBatch(batch);
+    ASSERT_FALSE(rejected.status.ok()) << "forgery " << i;
+    EXPECT_EQ(rejected.status.code(), StatusCode::kCorruption)
+        << "forgery " << i << ": " << rejected.status.ToString();
+    EXPECT_EQ(applied.load(), i + 1) << "forgery " << i << " never sent";
+  }
+  const BatchAnswer served = engine.EvaluateBatch(batch);
+  ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+  EXPECT_TRUE(served.answers[0].reachable);
+}  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
+
+/// A reach refresh reply with `edit` applied to its rows.
+PayloadEdit ForgeReachRows(void (*edit)(BoundaryRows*)) {
+  return [edit](std::vector<uint8_t>* payload) {
+    Decoder dec(*payload);
+    BoundaryRows rows = BoundaryRows::Deserialize(&dec);
+    edit(&rows);
+    Encoder enc;
+    rows.Serialize(&enc);
+    *payload = enc.TakeBuffer();
+  };
+}
+
+void ReachIndexPastTable(BoundaryRows* rows) {
+  rows->rep_globals.push_back(9);
+  rows->rows.push_back({static_cast<uint32_t>(rows->oset_globals.size())});
+}
+
+/// A one-query reach sweep reply: the honest frame (both lists present)
+/// with `extra` appended to its t-side list of global ids.
+PayloadEdit AppendReachEntry(uint64_t extra) {
+  return [extra](std::vector<uint8_t>* payload) {
+    Decoder dec(*payload);
+    Decoder frame = dec.GetFrame();
+    Encoder body;
+    const uint8_t flags = frame.GetU8();
+    ASSERT_EQ(flags, kFrameHasS | kFrameHasT);
+    body.PutU8(flags);
+    const size_t num_s = frame.GetCount();
+    body.PutVarint(num_s);
+    for (size_t i = 0; i < num_s; ++i) body.PutVarint(frame.GetVarint());
+    const size_t num_t = frame.GetCount();
+    body.PutVarint(num_t + 1);
+    for (size_t i = 0; i < num_t; ++i) body.PutVarint(frame.GetVarint());
+    body.PutVarint(extra);
+    Encoder reply;
+    reply.PutFrame(body.buffer());
+    *payload = reply.TakeBuffer();
+  };
+}
+
+// The reach index path checks reply content like the dist path: a refresh
+// row indexing past its oset table, and sweep t-side entries that are no
+// NodeId or no boundary node (the label lookups CHECK-abort on those), each
+// reject their batch with Corruption; the same query is then served.
+TEST(TransportFailureTest, ForgedReachRepliesRejectBatchesNotProcess) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  // Both endpoints are stored at site 2, so it alone joins the sweep
+  // rounds, and Pat reaches Mark only through other fragments.
+  const std::vector<Query> batch = {Query::Reach(ex.pat, ex.mark)};
+  ASSERT_EQ(frag.site_of(ex.pat), 2u);
+  ASSERT_EQ(frag.site_of(ex.mark), 2u);
+
+  constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
+  std::vector<Forgery> forgeries;
+  forgeries.push_back(
+      {RoundKind::kReachRows, ForgeReachRows(ReachIndexPastTable)});
+  forgeries.push_back({RoundKind::kReachSweep, AppendReachEntry(ex.tom)});
+  forgeries.push_back({RoundKind::kReachSweep, AppendReachEntry(kNoSuchId)});
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  ServeForgeries(&workers, &forgeries, &applied);
+  PartialEvalOptions options;
+  options.reach_path = ReachAnswerPath::kBoundaryIndex;
+  ExpectForgeriesRejected(frag, workers, options, batch, forgeries.size(),
+                          applied);
+}
+
+/// Shifts the oset table by a leading entry that is no boundary node (Tom),
+/// keeping every row pointed at its original entry.
+void NonBoundaryFirstOsetEntry(BoundaryRows* rows) {
+  rows->oset_globals.insert(rows->oset_globals.begin(), 9);
+  for (std::vector<uint32_t>& row : rows->rows) {
+    for (uint32_t& idx : row) ++idx;
+  }
+}
+
+// A forged oset table passes every decode check, so an honest sweep exit
+// can land on a forged entry. Ensure() interns the whole table, so the
+// label lookup resolves it (to an isolated node) instead of aborting.
+TEST(TransportFailureTest, ForgedReachOsetTableCannotAbort) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  std::vector<Forgery> forgeries;
+  forgeries.push_back(
+      {RoundKind::kReachRows, ForgeReachRows(NonBoundaryFirstOsetEntry)});
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  ServeForgeries(&workers, &forgeries, &applied);
+  {
+    Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
+                    ConnectOptions(workers));
+    PartialEvalOptions options;
+    options.reach_path = ReachAnswerPath::kBoundaryIndex;
+    PartialEvalEngine engine(&cluster, options);
+    // Pat's one exit is oset index 0, now the forged entry.
+    const std::vector<Query> batch = {Query::Reach(ex.pat, ex.mark)};
+    const BatchAnswer served = engine.EvaluateBatch(batch);
+    EXPECT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_EQ(applied.load(), 1u);
+  }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
+}
+
+/// An rpq refresh reply (one product-rows frame) with `edit` applied.
+PayloadEdit ForgeProductRows(ProductRowsEdit edit) {
+  return [edit](std::vector<uint8_t>* payload) {
+    Decoder dec(*payload);
+    Decoder frame = dec.GetFrame();
+    ProductBoundaryRows rows = ProductBoundaryRows::Deserialize(&frame);
+    edit(&rows);
+    Encoder body;
+    rows.Serialize(&body);
+    Encoder reply;
+    reply.PutFrame(body.buffer());
+    *payload = reply.TakeBuffer();
+  };
+}
+
+/// A one-query rpq sweep reply: the honest frame (both lists present) with
+/// the pair (`node`, `state`) appended to its t-side list.
+PayloadEdit AppendProductEntry(uint64_t node, uint8_t state) {
+  return [node, state](std::vector<uint8_t>* payload) {
+    Decoder dec(*payload);
+    Decoder frame = dec.GetFrame();
+    Encoder body;
+    const uint8_t flags = frame.GetU8();
+    ASSERT_EQ(flags, kFrameHasS | kFrameHasT);
+    body.PutU8(flags);
+    const size_t num_s = frame.GetCount();
+    body.PutVarint(num_s);
+    for (size_t i = 0; i < num_s; ++i) body.PutVarint(frame.GetVarint());
+    const size_t num_t = frame.GetCount();
+    body.PutVarint(num_t + 1);
+    for (size_t i = 0; i < num_t; ++i) {
+      body.PutVarint(frame.GetVarint());
+      body.PutU8(frame.GetU8());
+    }
+    body.PutVarint(node);
+    body.PutU8(state);
+    Encoder reply;
+    reply.PutFrame(body.buffer());
+    *payload = reply.TakeBuffer();
+  };
+}
+
+// The rpq index path checks reply content too: each broken product-rows
+// invariant, and sweep t-side pairs the standing product graph does not
+// hold, reject their batch with Corruption; the same query is then served.
+TEST(TransportFailureTest, ForgedRpqRepliesRejectBatchesNotProcess) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  // Pat -> Jack (MK) -> Mat -> Fred -> Emmy -> Ross (HR) -> Mark.
+  const Regex mk_hr = Regex::Parse("MK HR*", ex.labels).value();
+  const std::vector<Query> batch = {Query::Rpq(ex.pat, ex.mark, mk_hr)};
+  ASSERT_EQ(frag.site_of(ex.pat), 2u);
+  ASSERT_EQ(frag.site_of(ex.mark), 2u);
+
+  constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
+  std::vector<Forgery> forgeries;
+  for (ProductRowsEdit edit : ProductRowsEdits()) {
+    forgeries.push_back({RoundKind::kRpqRows, ForgeProductRows(edit)});
+  }
+  forgeries.push_back({RoundKind::kRpqSweep, AppendProductEntry(ex.tom, 2)});
+  forgeries.push_back({RoundKind::kRpqSweep, AppendProductEntry(kNoSuchId, 2)});
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  ServeForgeries(&workers, &forgeries, &applied);
+  PartialEvalOptions options;
+  options.rpq_path = RpqAnswerPath::kBoundaryIndex;
+  ExpectForgeriesRejected(frag, workers, options, batch, forgeries.size(),
+                          applied);
 }
 
 // ---------------------------------------------------------------------------

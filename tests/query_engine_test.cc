@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/core/incremental.h"
 #include "src/engine/baseline_engines.h"
 #include "src/graph/generators.h"
+#include "src/net/transport.h"
 #include "tests/test_util.h"
 
 namespace pereach {
@@ -192,25 +194,47 @@ TEST(QueryEngineBatchTest, MixedKindBatchMatchesSingles) {
 
 // The closure fast path reads cached rows instead of re-running localEval;
 // a warm cache must serve whole batches without any section rebuild.
+// Two inputs run every site round on the engine's context cache: a
+// simulated cluster, and a socket cluster whose unreachable endpoints make
+// every round degrade to local evaluation.
 TEST(QueryEngineCacheTest, WarmContextServesBatchesWithoutRebuild) {
-  Rng rng(31);
-  const size_t n = 100;
-  const Graph g = ErdosRenyi(n, 3 * n, 3, &rng);
-  const std::vector<SiteId> part = RandomPartition(n, 5, &rng);
-  const Fragmentation frag = Fragmentation::Build(g, part, 5);
-  Cluster cluster(&frag, NetworkModel());
-  PartialEvalEngine engine(&cluster, {.form = EquationForm::kClosure});
+  TransportOptions unreachable;
+  unreachable.backend = TransportBackend::kSocket;
+  for (SiteId s = 0; s < 5; ++s) {
+    unreachable.connect.push_back("unix:/nonexistent/pereach-" +
+                                  std::to_string(s) + ".sock");
+  }
+  unreachable.connect_timeout_ms = 100;
+  unreachable.max_retries = 0;
+  unreachable.retry_backoff_ms = 1;
+  unreachable.round_retries = 0;
 
-  engine.EvaluateBatch(RandomReachBatch(n, 8, &rng));
-  const size_t builds_after_warmup = engine.context_cache().build_count();
-  EXPECT_EQ(builds_after_warmup, frag.num_fragments());
+  for (const TransportOptions& transport : {TransportOptions{}, unreachable}) {
+    const bool sim = transport.backend == TransportBackend::kSim;
+    SCOPED_TRACE(sim ? "sim" : "degraded");
+    Rng rng(31);
+    const size_t n = 100;
+    const Graph g = ErdosRenyi(n, 3 * n, 3, &rng);
+    const std::vector<SiteId> part = RandomPartition(n, 5, &rng);
+    const Fragmentation frag = Fragmentation::Build(g, part, 5);
+    Cluster cluster(&frag, NetworkModel(), /*num_threads=*/0, transport);
+    PartialEvalEngine engine(&cluster, {.form = EquationForm::kClosure});
 
-  engine.EvaluateBatch(RandomReachBatch(n, 32, &rng));
-  EXPECT_EQ(engine.context_cache().build_count(), builds_after_warmup);
+    const auto run = [&](size_t count) {
+      return engine.EvaluateBatch(RandomReachBatch(n, count, &rng)).status;
+    };
 
-  engine.InvalidateFragment(0);
-  engine.EvaluateBatch(RandomReachBatch(n, 4, &rng));
-  EXPECT_EQ(engine.context_cache().build_count(), builds_after_warmup + 1);
+    ASSERT_TRUE(run(8).ok());
+    const size_t builds_after_warmup = engine.context_cache().build_count();
+    EXPECT_EQ(builds_after_warmup, frag.num_fragments());
+
+    ASSERT_TRUE(run(32).ok());
+    EXPECT_EQ(engine.context_cache().build_count(), builds_after_warmup);
+
+    engine.InvalidateFragment(0);
+    ASSERT_TRUE(run(4).ok());
+    EXPECT_EQ(engine.context_cache().build_count(), builds_after_warmup + 1);
+  }
 }
 
 // Differential test over incremental updates: after each AddEdge flows

@@ -17,6 +17,7 @@
 
 #include "src/baselines/centralized.h"
 #include "src/graph/generators.h"
+#include "src/regex/regex.h"
 #include "src/server/batch_queue.h"
 #include "tests/test_util.h"
 
@@ -24,7 +25,9 @@ namespace pereach {
 namespace {
 
 using testing_util::EdgeWorld;
+using testing_util::MakePaperExample;
 using testing_util::OracleReachable;
+using testing_util::PaperExample;
 using testing_util::RandomMixedQuery;
 using testing_util::RandomPartition;
 
@@ -556,6 +559,53 @@ TEST(QueryServerTest, OversizedRegexSubmissionRejectedNotFatal) {
     EXPECT_EQ(served.answer.reachable, CentralizedReach(oracle, s, t));
   }
   server.Drain();
+}
+
+// A query naming a node the graph does not have used to CHECK-abort the
+// indexed reach path (Fragmentation::site_of) and was answered false on the
+// BES path. Submit now rejects it as malformed — every class, both paths —
+// and the server keeps answering well-formed queries correctly.
+TEST(QueryServerTest, OutOfRangeEndpointRejectedNotFatal) {
+  const PaperExample ex = MakePaperExample();
+  const Regex hr_star = Regex::Parse("HR*", ex.labels).value();
+  const NodeId n = static_cast<NodeId>(ex.graph.NumNodes());
+  constexpr NodeId kFar = 1000000;
+  const std::vector<Query> bad = {Query::Reach(kFar, ex.mark),
+                                  Query::Reach(n, n),
+                                  Query::Dist(ex.ann, kFar, 8),
+                                  Query::Rpq(kFar, ex.mark, hr_star),
+                                  Query::Rpq(ex.ann, n, hr_star)};
+  for (const bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "indexed paths" : "BES paths");
+    IncrementalReachIndex index(ex.graph, ex.partition, 3);
+    ServerOptions options;
+    if (indexed) {
+      options.eval.reach_path = ReachAnswerPath::kBoundaryIndex;
+      options.eval.dist_path = DistAnswerPath::kBoundaryIndex;
+      options.eval.rpq_path = RpqAnswerPath::kBoundaryIndex;
+    }
+    QueryServer server(&index, options);
+
+    for (const Query& q : bad) {
+      const ServedAnswer rejected = server.Submit(q).get();
+      EXPECT_TRUE(rejected.rejected);
+      EXPECT_EQ(rejected.reject_reason, RejectReason::kMalformed);
+    }
+    EXPECT_EQ(server.Metrics().counter(CounterId::kRejectedMalformed),
+              bad.size());
+
+    const std::vector<Query> good = {Query::Reach(ex.ann, ex.mark),
+                                     Query::Dist(ex.ann, ex.mark, 6),
+                                     Query::Dist(ex.ann, ex.mark, 5),
+                                     Query::Rpq(ex.ann, ex.mark, hr_star),
+                                     Query::Reach(ex.mark, ex.ann)};
+    for (const Query& q : good) {
+      const ServedAnswer served = server.Submit(q).get();
+      ASSERT_FALSE(served.rejected);
+      EXPECT_EQ(served.answer.reachable, OracleReachable(ex.graph, q));
+    }
+    server.Drain();
+  }
 }
 
 // Regression for the Submit-vs-Stop race: client threads hammer Submit while

@@ -1,6 +1,6 @@
 // Transport-seam tests: the fallible (kStatus) decode path every transport
-// ingress uses, the socket wire framing, and backend equivalence — the shm
-// and socket backends must answer bit-identically to the simulated seed.
+// ingress uses, the socket wire framing, and backend equivalence — the
+// socket backend must answer bit-identically to the simulated one.
 
 #include "src/net/transport.h"
 
@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/engine/fragment_context.h"
 #include "src/engine/partial_eval_engine.h"
 #include "src/net/cluster.h"
 #include "src/util/serialization.h"
@@ -217,10 +218,6 @@ void ExpectBackendMatchesSim(TransportBackend backend) {
   EXPECT_EQ(a.metrics.traffic_bytes, b.metrics.traffic_bytes);
 }
 
-TEST(TransportBackendTest, ShmAnswersAndBooksMatchSim) {
-  ExpectBackendMatchesSim(TransportBackend::kShm);
-}
-
 TEST(TransportBackendTest, SocketSpawnAnswersAndBooksMatchSim) {
   ExpectBackendMatchesSim(TransportBackend::kSocket);
 }
@@ -234,12 +231,12 @@ TEST(TransportBackendTest, SocketSpawnsOneWorkerPerFragment) {
 
   // Connections establish lazily: no workers before the first round.
   EXPECT_TRUE(cluster.transport()->WorkerPidsForTest().empty());
+  FragmentContextCache local(&frag);
   cluster.BeginQuery();
   RoundSpec spec;
   spec.kind = RoundKind::kReachRows;
   spec.accounted_broadcast_bytes = 1;
-  const auto replies = cluster.TryRound(
-      {0, 1, 2}, spec, [](const Fragment&) { return std::vector<uint8_t>(); });
+  const auto replies = cluster.TryRound({0, 1, 2}, spec, &local);
   cluster.EndQuery();
   ASSERT_TRUE(replies.ok());
   EXPECT_EQ(replies.value().size(), 3u);
@@ -262,14 +259,52 @@ TEST(TransportBackendTest, UnreachableEndpointFailsRoundWithoutAborting) {
   opts.degrade_local = false;
   opts.breaker_threshold = 0;
   Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3, opts);
+  FragmentContextCache local(&frag);
   cluster.BeginQuery();
   RoundSpec spec;
   spec.kind = RoundKind::kReachRows;
   spec.accounted_broadcast_bytes = 1;
-  const auto replies = cluster.TryRound(
-      {0, 1, 2}, spec, [](const Fragment&) { return std::vector<uint8_t>(); });
+  const auto replies = cluster.TryRound({0, 1, 2}, spec, &local);
   cluster.EndQuery();
   EXPECT_FALSE(replies.ok());
+}
+
+// The simulated backend decodes the same RoundSpec a worker does, so a spec
+// that does not decode fails the round with Corruption — and, like any
+// failed round, charges nothing to the window's books.
+TEST(TransportBackendTest, SimRejectsUndecodableSpecWithoutCharging) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3);
+  FragmentContextCache local(&frag);
+
+  RoundSpec bad_form;
+  bad_form.kind = RoundKind::kBatchEval;
+  bad_form.aux = static_cast<uint8_t>(EquationForm::kDag) + 1;
+  bad_form.broadcast = {0, 0};  // zero queries, zero automata
+  bad_form.accounted_broadcast_bytes = bad_form.broadcast.size();
+
+  Encoder sweep;
+  sweep.PutVarint(1);
+  Query::Reach(ex.ann, ex.mark).Serialize(&sweep);
+  RoundSpec truncated;
+  truncated.kind = RoundKind::kReachSweep;
+  truncated.broadcast = sweep.TakeBuffer();
+  truncated.broadcast.pop_back();
+  truncated.accounted_broadcast_bytes = truncated.broadcast.size();
+
+  for (const RoundSpec* spec : {&bad_form, &truncated}) {
+    cluster.BeginQuery();
+    const auto replies = cluster.TryRoundAll(*spec, &local);
+    const RunMetrics books = cluster.EndQuery();
+    ASSERT_FALSE(replies.ok());
+    EXPECT_EQ(replies.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(books.rounds, 0u);
+    EXPECT_EQ(books.messages, 0u);
+    EXPECT_EQ(books.traffic_bytes, 0u);
+    EXPECT_EQ(books.modeled_ms, 0.0);
+    for (size_t visits : books.site_visits) EXPECT_EQ(visits, 0u);
+  }
 }
 
 // With degrade_local on (the default), the same unreachable endpoints do not
