@@ -6,7 +6,7 @@
 //  - query automaton construction cost
 //  - product graph construction for localEvalr
 //  - partitioner cost and cut quality
-//  - incremental index vs full disReach per query
+//  - full disReach per query
 
 #include <deque>
 
@@ -16,7 +16,6 @@
 
 #include "src/bes/bes.h"
 #include "src/core/dis_reach.h"
-#include "src/core/incremental.h"
 #include "src/core/local_eval.h"
 #include "src/engine/fragment_context.h"
 #include "src/fragment/partitioner.h"
@@ -391,7 +390,7 @@ BENCHMARK(BM_BitsetSweepShortcutDepth)
     ->Args({30000, 256})
     ->Args({30000, 4096});
 
-// --- incremental index vs per-query partial evaluation -----------------------
+// --- per-query partial evaluation --------------------------------------------
 
 void BM_DisReachFullQuery(benchmark::State& state) {
   const size_t n = 20000;
@@ -408,21 +407,6 @@ void BM_DisReachFullQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DisReachFullQuery);
-
-void BM_IncrementalIndexQuery(benchmark::State& state) {
-  const size_t n = 20000;
-  Rng rng(g_seed + 19);
-  const Graph g = ErdosRenyi(n, 3 * n, 1, &rng);
-  const std::vector<SiteId> part = RandomPartitioner().Partition(g, 4, &rng);
-  IncrementalReachIndex index(g, part, 4);
-  index.Reach(0, 1);  // warm the caches
-  NodeId s = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index.Reach(s, static_cast<NodeId>(n - 1 - s)));
-    s = (s + 1) % 1000;
-  }
-}
-BENCHMARK(BM_IncrementalIndexQuery);
 
 }  // namespace
 }  // namespace pereach

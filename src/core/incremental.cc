@@ -1,10 +1,5 @@
 #include "src/core/incremental.h"
 
-#include <algorithm>
-#include <deque>
-
-#include "src/graph/algorithms.h"
-
 namespace pereach {
 
 IncrementalReachIndex::IncrementalReachIndex(const Graph& graph,
@@ -16,8 +11,6 @@ IncrementalReachIndex::IncrementalReachIndex(const Graph& graph,
   for (NodeId u = 0; u < graph.NumNodes(); ++u) {
     for (NodeId v : graph.OutNeighbors(u)) edges_.emplace_back(u, v);
   }
-  cached_equations_.resize(num_sites_);
-  cache_valid_.assign(num_sites_, false);
   RebuildStructure();
 }
 
@@ -30,131 +23,6 @@ void IncrementalReachIndex::RebuildStructure() {
   fragmentation_ = Fragmentation::Build(g, partition_, num_sites_);
 }
 
-void IncrementalReachIndex::EnsureFragmentEquations(SiteId site) {
-  if (cache_valid_[site]) return;
-  const Fragment& f = fragmentation_.fragment(site);
-
-  std::vector<NodeId> targets;  // all virtual nodes, local ids
-  targets.reserve(f.num_virtual());
-  for (NodeId v = static_cast<NodeId>(f.num_local());
-       v < f.local_graph().NumNodes(); ++v) {
-    targets.push_back(v);
-  }
-
-  std::vector<BoolEquation>& eqs = cached_equations_[site];
-  eqs.clear();
-  eqs.reserve(f.in_nodes().size());
-  if (targets.empty()) {
-    // No virtual nodes: every in-node's cached equation is empty (only the
-    // query-dependent t-side pass can make it true).
-    for (const NodeId in : f.in_nodes()) {
-      eqs.push_back(BoolEquation{f.ToGlobal(in), false, {}});
-    }
-  } else {
-    // Same-SCC in-nodes have identical reachable sets, so the full row is
-    // stored once per group representative and every other member caches a
-    // one-dep alias X_member = X_rep (the BES merges duplicate definitions
-    // disjunctively, and the alias is sound: member and rep are mutually
-    // reachable inside the fragment). This is localEval's equation-merging
-    // optimization applied to the incremental cache — on fragments with a
-    // giant SCC it shrinks the cache from |I| dense rows to one.
-    std::vector<std::vector<uint32_t>> rows;  // group -> target indices
-    const std::vector<uint32_t> groups = ForEachReachableTargetGrouped(
-        f.local_graph(), f.in_nodes(), targets, 4096,
-        [&rows](uint32_t group, uint32_t ti) {
-          if (group >= rows.size()) rows.resize(group + 1);
-          rows[group].push_back(ti);
-        });
-    size_t num_groups = 0;
-    for (const uint32_t g : groups) {
-      num_groups = std::max<size_t>(num_groups, g + 1);
-    }
-    rows.resize(num_groups);
-    std::vector<NodeId> rep(num_groups, kInvalidNode);
-    for (size_t i = 0; i < f.in_nodes().size(); ++i) {
-      const uint32_t g = groups[i];
-      const NodeId global = f.ToGlobal(f.in_nodes()[i]);
-      if (rep[g] == kInvalidNode) {
-        rep[g] = global;
-        BoolEquation eq{global, false, {}};
-        eq.deps.reserve(rows[g].size());
-        for (const uint32_t ti : rows[g]) {
-          eq.deps.push_back(
-              f.ToGlobal(static_cast<NodeId>(f.num_local() + ti)));
-        }
-        eqs.push_back(std::move(eq));
-      } else {
-        eqs.push_back(BoolEquation{global, false, {rep[g]}});
-      }
-    }
-  }
-  cache_valid_[site] = true;
-  ++recompute_count_;
-}
-
-bool IncrementalReachIndex::Reach(NodeId s, NodeId t) {
-  if (s == t) return true;
-
-  BooleanEquationSystem bes;
-  for (SiteId site = 0; site < num_sites_; ++site) {
-    EnsureFragmentEquations(site);
-    for (const BoolEquation& eq : cached_equations_[site]) bes.Add(eq);
-  }
-
-  // Query-dependent piece 1: which in-nodes of t's fragment reach t locally
-  // (one reverse BFS; virtual nodes are sinks, so local paths suffice).
-  const SiteId t_site = partition_[t];
-  {
-    const Fragment& f = fragmentation_.fragment(t_site);
-    const Graph& g = f.local_graph();
-    const NodeId lt = f.ToLocal(t);
-    std::vector<bool> seen(g.NumNodes(), false);
-    std::deque<NodeId> queue{lt};
-    seen[lt] = true;
-    while (!queue.empty()) {
-      const NodeId v = queue.front();
-      queue.pop_front();
-      for (NodeId u : g.InNeighbors(v)) {
-        if (!seen[u]) {
-          seen[u] = true;
-          queue.push_back(u);
-        }
-      }
-    }
-    for (NodeId in : f.in_nodes()) {
-      if (seen[in]) bes.Add(BoolEquation{f.ToGlobal(in), true, {}});
-    }
-  }
-
-  // Query-dependent piece 2: s's own equation (one forward BFS).
-  const SiteId s_site = partition_[s];
-  {
-    const Fragment& f = fragmentation_.fragment(s_site);
-    const Graph& g = f.local_graph();
-    const NodeId ls = f.ToLocal(s);
-    BoolEquation s_eq{s, false, {}};
-    std::vector<bool> seen(g.NumNodes(), false);
-    std::deque<NodeId> queue{ls};
-    seen[ls] = true;
-    while (!queue.empty()) {
-      const NodeId v = queue.front();
-      queue.pop_front();
-      if (f.ToGlobal(v) == t) s_eq.has_true = true;
-      if (f.IsVirtual(v)) continue;  // virtual nodes are frontier variables
-      for (NodeId w : g.OutNeighbors(v)) {
-        if (!seen[w]) {
-          seen[w] = true;
-          if (f.IsVirtual(w)) s_eq.deps.push_back(f.ToGlobal(w));
-          queue.push_back(w);
-        }
-      }
-    }
-    bes.Add(std::move(s_eq));
-  }
-
-  return bes.Evaluate(s);
-}
-
 void IncrementalReachIndex::AddEdge(NodeId u, NodeId v) {
   const std::pair<NodeId, NodeId> edge(u, v);
   AddEdges(std::span<const std::pair<NodeId, NodeId>>(&edge, 1));
@@ -163,9 +31,9 @@ void IncrementalReachIndex::AddEdge(NodeId u, NodeId v) {
 void IncrementalReachIndex::AddEdges(
     std::span<const std::pair<NodeId, NodeId>> edges) {
   if (edges.empty()) return;
-  // Fragments whose caches an edge of this batch invalidates: u's fragment
-  // always (its reachable sets may grow); v's when the edge crosses
-  // fragments (a new cross edge makes v an in-node with a fresh equation).
+  // Fragments an edge of this batch touches: u's fragment always (its
+  // reachable sets may grow); v's when the edge crosses fragments (a new
+  // cross edge makes v an in-node).
   std::vector<bool> touched(num_sites_, false);
   for (const auto& [u, v] : edges) {
     PEREACH_CHECK_LT(u, labels_.size());
@@ -175,9 +43,7 @@ void IncrementalReachIndex::AddEdges(
     if (partition_[u] != partition_[v]) touched[partition_[v]] = true;
   }
   for (SiteId site = 0; site < num_sites_; ++site) {
-    if (!touched[site]) continue;
-    cache_valid_[site] = false;
-    if (update_listener_) update_listener_(site);
+    if (touched[site] && update_listener_) update_listener_(site);
   }
   // One structural rebuild per batch — the writer path's dominant cost is
   // amortized over every edge of the update.

@@ -249,10 +249,10 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
                                                      options_.shortcut_budget);
   }
 
-  // Refresh round: fetch the boundary rows of every dirty fragment (all of
+  // Refresh round: fetch the condensation of every dirty fragment (all of
   // them on first use; exactly the update-touched ones afterwards — the
-  // InvalidateFragment path marks them) and rebuild the small condensation
-  // + labels at the coordinator. Amortized across every later reach batch
+  // InvalidateFragment path marks them) and rebuild the glued graph +
+  // labels at the coordinator. Amortized across every later reach batch
   // until the next update. A fragment's rows are only installed once its
   // reply decoded cleanly, so a failed refresh leaves the site dirty and
   // the next batch re-fetches.
@@ -278,8 +278,8 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
 
   // Sweep round over the ENDPOINT fragments only — the boundary index
   // replaces the all-sites equation broadcast. Each involved site answers
-  // every query of the batch with one tiny frame (its two query-dependent
-  // sweeps); sites holding neither endpoint of a query emit one flag byte.
+  // every query of the batch with one tiny frame (the component of each
+  // endpoint it stores); sites holding neither endpoint emit a flag byte.
   const std::vector<SiteId> sites = EndpointSites(frag, queries, wire);
 
   Encoder broadcast;
@@ -294,90 +294,47 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
       cluster_->TryRound(sites, spec, &contexts_);
   if (!round.ok()) return round.status();
 
-  // Assemble: per query, splice the s-side exits onto the t-side arrivals
-  // through the boundary label — no equation system is ever built.
+  // Assemble: per query, one (component of s, component of t) question on
+  // the glued graph — no equation system is ever built. A reply is not
+  // trusted: each component id must name a node of the installed graph.
   StopWatch assemble_watch;
   std::vector<std::vector<Decoder>> frames;
   if (!SplitSweepReplies(sites, round.value(), frag.num_fragments(),
                          wire.size(), &frames)) {
     return MalformedReply("boundary sweep reply");
   }
-
-  // Decode every query's frames into flat endpoint storage first (spans are
-  // recorded as offsets so growth can't invalidate them), then answer the
-  // pending questions: in 64-lane bit-parallel words through AnswerBatch, or
-  // one scalar lookup each when batch_sweep is off (the reference path).
-  std::vector<NodeId> nodes;
-  struct PendingQuestion {
-    size_t wi;
-    size_t s_off, s_len;
-    size_t t_off, t_len;
-  };
-  std::vector<PendingQuestion> pending;
-  pending.reserve(wire.size());
+  std::vector<BoundaryReachIndex::ReachQuestion> questions(wire.size());
   for (size_t wi = 0; wi < wire.size(); ++wi) {
     const Query& q = queries[wire[wi]];
-    QueryAnswer& answer = (*answers)[wire[wi]];
     const SiteId s_site = frag.site_of(q.source);
     const SiteId t_site = frag.site_of(q.target);
-
+    // A frame holding both endpoints lists s's component first.
     Decoder& s_frame = frames[s_site][wi];
     const uint8_t s_flags = s_frame.GetU8();
-    if (s_flags & kFrameLocalTrue) {
-      answer.reachable = true;
-      continue;
-    }
-    if (!(s_flags & kFrameHasS)) return MalformedReply("boundary sweep frame");
-    PendingQuestion p;
-    p.wi = wi;
-    p.s_off = nodes.size();
-    const std::vector<NodeId>& oset = boundary_->oset_globals(s_site);
-    uint32_t prev = 0;
-    for (size_t n = s_frame.GetCount(); n > 0; --n) {
-      prev += static_cast<uint32_t>(s_frame.GetVarint());
-      if (prev >= oset.size()) return MalformedReply("boundary sweep frame");
-      nodes.push_back(oset[prev]);
-    }
-    p.s_len = nodes.size() - p.s_off;
-
-    // A reply is not trusted: every t-side entry must be a boundary node
-    // of this epoch before the label lookups resolve it.
+    questions[wi].source = boundary_->Node(s_site, s_frame.GetVarint());
     Decoder& t_frame = frames[t_site][wi];
-    uint8_t t_flags = s_flags;
-    if (t_site != s_site) t_flags = t_frame.GetU8();
-    if (!(t_flags & kFrameHasT)) return MalformedReply("boundary sweep frame");
-    p.t_off = nodes.size();
-    for (size_t n = t_frame.GetCount(); n > 0; --n) {
-      const uint64_t global = t_frame.GetVarint();
-      if (global >= kInvalidNode ||
-          !boundary_->IsBoundaryNode(static_cast<NodeId>(global))) {
-        return MalformedReply("boundary sweep frame");
-      }
-      nodes.push_back(static_cast<NodeId>(global));
-    }
-    p.t_len = nodes.size() - p.t_off;
-    if (!s_frame.ok() || !t_frame.ok()) {
+    const uint8_t t_flags = t_site == s_site ? s_flags : t_frame.GetU8();
+    questions[wi].target = boundary_->Node(t_site, t_frame.GetVarint());
+    if (!(s_flags & kFrameHasS) || !(t_flags & kFrameHasT) ||
+        !s_frame.ok() || !t_frame.ok() ||
+        questions[wi].source == BoundaryReachIndex::kNoNode ||
+        questions[wi].target == BoundaryReachIndex::kNoNode) {
       return MalformedReply("boundary sweep frame");
     }
-    pending.push_back(p);
   }
 
-  const std::span<const NodeId> flat(nodes);
+  // 64-lane bit-parallel words through AnswerBatch, or one scalar lookup
+  // each when batch_sweep is off (the reference path).
   if (options_.batch_sweep) {
-    std::vector<BoundaryReachIndex::ReachQuestion> questions(pending.size());
-    for (size_t i = 0; i < pending.size(); ++i) {
-      questions[i].sources = flat.subspan(pending[i].s_off, pending[i].s_len);
-      questions[i].targets = flat.subspan(pending[i].t_off, pending[i].t_len);
-    }
     std::vector<uint8_t> batched;
     boundary_->AnswerBatch(questions, &batched);
-    for (size_t i = 0; i < pending.size(); ++i) {
-      (*answers)[wire[pending[i].wi]].reachable = batched[i] != 0;
+    for (size_t wi = 0; wi < wire.size(); ++wi) {
+      (*answers)[wire[wi]].reachable = batched[wi] != 0;
     }
   } else {
-    for (const PendingQuestion& p : pending) {
-      (*answers)[wire[p.wi]].reachable = boundary_->ReachesAny(
-          flat.subspan(p.s_off, p.s_len), flat.subspan(p.t_off, p.t_len));
+    for (size_t wi = 0; wi < wire.size(); ++wi) {
+      (*answers)[wire[wi]].reachable =
+          boundary_->Reaches(questions[wi].source, questions[wi].target);
     }
   }
   cluster_->AddCoordinatorWorkMs(assemble_watch.ElapsedMs());

@@ -19,12 +19,11 @@ namespace pereach {
 /// system (evalDG).
 ///
 /// kBoundaryIndex short-circuits the solve with a standing coordinator-side
-/// label over the boundary dependency graph (BoundaryReachIndex): a reach
-/// query visits only the two endpoint fragments for the query-dependent
-/// sweeps (s-side forward, t-side backward) and the coordinator answers with
-/// label lookups — no per-query equation shipping, deserialization, or BES
-/// construction. Falls back to nothing: the label path is exact. Bounded and
-/// regular queries always use the equation path.
+/// label over the fragments' glued condensations (BoundaryReachIndex): a
+/// reach query visits only the two endpoint fragments, each of which looks
+/// up its endpoint's condensation component, and the coordinator answers
+/// with one label lookup — no per-query equation shipping, deserialization,
+/// or BES construction. Falls back to nothing: the label path is exact.
 enum class ReachAnswerPath : uint8_t { kBes = 0, kBoundaryIndex = 1 };
 
 /// How the coordinator resolves distance (bounded-reach) queries.

@@ -34,10 +34,9 @@ ReachPartialAnswer RebaseOntoSharedOset(ReachPartialAnswer pa,
   return pa;
 }
 
-// The two query-dependent condensation sweeps every cached-rows reach path
-// (BES closure frames and boundary-index frames) is built from. Both rely
-// on component ids being reverse topological: every edge goes to a smaller
-// id.
+// The two query-dependent condensation sweeps of the closure-form BES
+// frames. Both rely on component ids being reverse topological: every edge
+// goes to a smaller id.
 
 /// Components that locally reach `t_comp` (ascending scan).
 std::vector<bool> ComponentsReaching(const Condensation& cond,
@@ -212,68 +211,16 @@ void EncodeBoundarySweepFrame(const Fragment& f, FragmentContext* ctx,
                               NodeId s, NodeId t, Encoder* body) {
   const bool s_here = f.Contains(s);
   const bool t_here = f.Contains(t);
-  if (!s_here && !t_here) {
-    body->PutU8(0);
-    return;
-  }
-  const Condensation& cond = ctx->cond(f);
-  const std::vector<uint32_t>& oset_comp = ctx->oset_comp(f);
-
-  uint32_t t_comp = 0;
-  std::vector<bool> reaches_t;
-  if (t_here) {
-    t_comp = cond.scc.component_of[f.ToLocal(t)];
-    reaches_t = ComponentsReaching(cond, t_comp);
-  }
-
-  bool local_true = false;
-  std::vector<uint32_t> s_out;
-  if (s_here) {
-    const std::vector<bool> reachable =
-        ComponentsReachableFrom(cond, cond.scc.component_of[f.ToLocal(s)]);
-    local_true = t_here && reachable[t_comp];
-    // Virtual nodes are local sinks, so each one is a singleton component:
-    // reachable[its component] is exactly "s reaches it". Reaching t's
-    // virtual copy decides the query (the cross edge into t completes the
-    // path); every other reachable virtual node is an exit candidate.
-    const uint32_t t_idx = ctx->OsetIndexOf(t);
-    for (uint32_t j = 0; j < oset_comp.size(); ++j) {
-      if (!reachable[oset_comp[j]]) continue;
-      if (j == t_idx) {
-        local_true = true;
-      } else {
-        s_out.push_back(j);
-      }
-    }
-  }
-  if (local_true) {
-    body->PutU8(kFrameLocalTrue);
-    return;
-  }
-
   uint8_t flags = 0;
   if (s_here) flags |= kFrameHasS;
   if (t_here) flags |= kFrameHasT;
   body->PutU8(flags);
-  if (s_here) {
-    body->PutVarint(s_out.size());
-    uint32_t prev = 0;
-    for (uint32_t idx : s_out) {  // ascending: delta-encode
-      body->PutVarint(idx - prev);
-      prev = idx;
-    }
-  }
-  if (t_here) {
-    const FragmentContext::ReachRows& rows = ctx->reach_rows(f);
-    std::vector<NodeId> t_in;
-    for (size_t g = 0; g < rows.group_rep.size(); ++g) {
-      if (reaches_t[rows.group_comp[g]]) {
-        t_in.push_back(f.ToGlobal(rows.group_rep[g]));
-      }
-    }
-    body->PutVarint(t_in.size());
-    for (NodeId g : t_in) body->PutVarint(g);
-  }
+  if (flags == 0) return;
+  // The endpoints' components in the condensation the refresh round
+  // shipped; the coordinator's glued graph does the rest.
+  const std::vector<uint32_t>& comp = ctx->cond(f).scc.component_of;
+  if (s_here) body->PutVarint(comp[f.ToLocal(s)]);
+  if (t_here) body->PutVarint(comp[f.ToLocal(t)]);
 }
 
 void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
@@ -409,13 +356,33 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
 
 namespace {
 
-/// Re-encodes a fragment's cached ReachRows (DistRows) into the global-id
-/// BoundaryRows (WeightedBoundaryRows) the coordinator's boundary index
-/// (weighted boundary index) consumes: the refresh round's reply bytes.
-template <typename Out, typename Rows>
-std::vector<uint8_t> EncodeBoundaryRows(const Fragment& f, FragmentContext* ctx,
-                                        const Rows& rows) {
-  Out out;
+/// The reach refresh round's reply: the fragment's cached condensation with
+/// its boundary tables, in the global-id BoundaryRows the coordinator's
+/// boundary index consumes.
+std::vector<uint8_t> EncodeReachRows(const Fragment& f, FragmentContext* ctx) {
+  const Condensation& cond = ctx->cond(f);
+  BoundaryRows out;
+  out.offsets = cond.offsets;
+  out.targets = cond.targets;
+  out.oset_globals = ctx->oset_globals(f);
+  out.oset_comp = ctx->oset_comp(f);
+  out.in_globals.reserve(f.in_nodes().size());
+  out.in_comp.reserve(f.in_nodes().size());
+  for (NodeId in : f.in_nodes()) {
+    out.in_globals.push_back(f.ToGlobal(in));
+    out.in_comp.push_back(cond.scc.component_of[in]);
+  }
+  Encoder reply;
+  out.Serialize(&reply);
+  return reply.TakeBuffer();
+}
+
+/// Re-encodes a fragment's cached DistRows into the global-id
+/// WeightedBoundaryRows the coordinator's weighted boundary index consumes:
+/// the dist refresh round's reply bytes.
+std::vector<uint8_t> EncodeDistRows(const Fragment& f, FragmentContext* ctx) {
+  const FragmentContext::DistRows& rows = ctx->dist_rows(f);
+  WeightedBoundaryRows out;
   out.oset_globals = ctx->oset_globals(f);
   out.rep_globals.reserve(rows.group_rep.size());
   for (NodeId rep : rows.group_rep) out.rep_globals.push_back(f.ToGlobal(rep));
@@ -673,11 +640,8 @@ Result<std::vector<uint8_t>> RunSiteRound(
       if (!broadcast.empty()) {
         return Status::Corruption("rows round: unexpected payload");
       }
-      if (kind == RoundKind::kReachRows) {
-        return EncodeBoundaryRows<BoundaryRows>(f, ctx, ctx->reach_rows(f));
-      }
-      return EncodeBoundaryRows<WeightedBoundaryRows>(f, ctx,
-                                                      ctx->dist_rows(f));
+      return kind == RoundKind::kReachRows ? EncodeReachRows(f, ctx)
+                                           : EncodeDistRows(f, ctx);
     case RoundKind::kRpqRows:
       return RunRpqRows(f, ctx, &dec);
     case RoundKind::kReachSweep:

@@ -20,9 +20,11 @@ namespace pereach {
 /// and books bit-identical across transports) holds by construction.
 
 // Flag bits of a boundary sweep frame.
-inline constexpr uint8_t kFrameHasS = 1;       // s-side list present
-inline constexpr uint8_t kFrameHasT = 2;       // t-side list present
-inline constexpr uint8_t kFrameLocalTrue = 4;  // decided inside this fragment
+inline constexpr uint8_t kFrameHasS = 1;  // s-side entry present
+inline constexpr uint8_t kFrameHasT = 2;  // t-side entry present
+// Extra flag bit of an rpq sweep frame: the query is decided inside this
+// fragment, and the frame ends here.
+inline constexpr uint8_t kFrameLocalTrue = 4;
 // Extra flag bit of a dist sweep frame: a local s -> t distance (within the
 // query bound) is present. Unlike kFrameLocalTrue it does NOT end the frame
 // — a cross-fragment route can still be shorter, so the lists follow.
@@ -38,7 +40,9 @@ void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
                           NodeId t, uint32_t bound, Encoder* body);
 
 /// The query-dependent halves of one reach query at one fragment, encoded
-/// for the boundary answer path.
+/// for the boundary answer path: a flag byte, then the condensation
+/// component of s and/or of t where they are stored here — at most 11
+/// bytes, whatever the fragment's boundary.
 void EncodeBoundarySweepFrame(const Fragment& f, FragmentContext* ctx,
                               NodeId s, NodeId t, Encoder* body);
 

@@ -15,15 +15,15 @@ namespace pereach {
 
 /// Query-independent WEIGHTED boundary rows of ONE fragment, as shipped to
 /// the coordinator by the dist-index refresh round — the min-plus twin of
-/// BoundaryRows. A re-encoding of FragmentContext::DistRows with local ids
-/// resolved to globals:
+/// the closure rows. A re-encoding of FragmentContext::DistRows with local
+/// ids resolved to globals:
 ///  - `oset_globals` is the fragment's virtual-node table (ascending local
 ///    order, the same table the reach index ships);
 ///  - one row per DISTINCT-ROW GROUP of in-nodes: the group representative's
 ///    global id plus the ascending (oset index, local shortest-path hops)
 ///    pairs the group reaches locally;
 ///  - one alias per non-representative member, binding it to the group rep.
-///    Unlike the reach index's SCC aliases, a dist alias asserts the member's
+///    Unlike the closure rows' SCC groups, a dist alias asserts the member's
 ///    whole weighted row is IDENTICAL to the rep's (distances differ across
 ///    an SCC's members, so same-SCC is not sufficient here); the coordinator
 ///    realizes each shared-row group as a one-way aux "row carrier" node

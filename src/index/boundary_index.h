@@ -2,9 +2,8 @@
 #define PEREACH_INDEX_BOUNDARY_INDEX_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/index/reach_labels.h"
@@ -13,70 +12,82 @@
 
 namespace pereach {
 
-/// Query-independent boundary rows of ONE fragment, as shipped to the
-/// coordinator by the boundary-index refresh round. This is a re-encoding of
-/// FragmentContext::ReachRows with local ids resolved to globals:
-///  - `oset_globals` is the fragment's virtual-node table (ascending local
-///    order — the same shared table batched reach replies use);
-///  - one row per in-node SCC GROUP: the group representative's global id
-///    plus the ascending oset indices the group reaches locally;
-///  - one alias per non-representative in-node, binding it to its group's
-///    representative (same local SCC, hence boundary-equivalent).
+/// Query-independent reach structure of ONE fragment, as shipped to the
+/// coordinator by the reach refresh round: the fragment's cached SCC
+/// condensation (FragmentContext::cond) with its boundary resolved to
+/// global ids.
+///  - `offsets` / `targets`: the condensation in CSR form, component c's
+///    successors at targets[offsets[c] .. offsets[c + 1]);
+///  - `oset_globals` / `oset_comp`: the virtual nodes (ascending local
+///    order) and the component each one is;
+///  - `in_globals` / `in_comp`: the in-nodes and the component of each.
 struct BoundaryRows {
+  std::vector<size_t> offsets;  // num_components() + 1 entries
+  std::vector<uint32_t> targets;
   std::vector<NodeId> oset_globals;
-  std::vector<NodeId> rep_globals;          // one per group
-  std::vector<std::vector<uint32_t>> rows;  // group -> ascending oset indices
-  // (member global, rep global) for every in-node that is not its group rep.
-  std::vector<std::pair<NodeId, NodeId>> aliases;
+  std::vector<uint32_t> oset_comp;
+  std::vector<NodeId> in_globals;
+  std::vector<uint32_t> in_comp;
+
+  size_t num_components() const {
+    return offsets.empty() ? 0 : offsets.size() - 1;
+  }
 
   void Serialize(Encoder* enc) const;
+  /// Tolerant in kStatus mode: an edge target, oset component or in-node
+  /// component at or past num_components() fails the decode.
   static BoundaryRows Deserialize(Decoder* dec);
 };
 
-/// Coordinator-side reachability index over the BOUNDARY DEPENDENCY GRAPH:
-/// one node per boundary node of the fragmentation (global ids of in-nodes,
-/// equivalently of virtual nodes — every virtual node is an in-node of the
-/// fragment that stores its real copy), and an edge u -> w whenever u's
-/// fragment can route a path from u to its virtual copy of w locally. The
-/// edges are exactly the cached query-independent closure rows every
-/// fragment already holds (FragmentContext::ReachRows), so the graph is
-/// typically orders of magnitude smaller than G (|V_f| nodes, the paper's
-/// boundary measure), and a path in it composes fragment-local path
-/// segments of G — reachability between boundary nodes in this graph is
-/// reachability in G.
+/// Coordinator-side reachability index over the fragments' GLUED
+/// CONDENSATIONS: one node per (fragment, component of its local SCC
+/// condensation), the condensation edges of every fragment, and one glue
+/// edge from each virtual copy's component to the component of its real
+/// copy at the owning fragment (every virtual node is an in-node there).
+/// The graph is exact for G: a local path maps onto its fragment's
+/// condensation, and a cross edge a -> w maps onto a's component reaching
+/// w's virtual copy, then the glue edge to comp(w) at w's owner. Conversely
+/// every edge of the graph is witnessed by a path of G (a virtual node is a
+/// local sink, so its component is itself). So component(s) reaches
+/// component(t) in this graph iff s reaches t in G — a query's whole
+/// site-side contribution is one component id per endpoint, and its
+/// traffic is O(|Q|) whatever the fragments' boundaries are. The graph has
+/// the fragments' condensation sizes, not |I| x |O| closure rows.
 ///
-/// On top of the graph the index keeps its SCC condensation plus GRAIL-style
-/// labels (ReachLabels, the coordinator core shared with the product
+/// On top of the graph the index keeps the SCC condensation plus GRAIL-style
+/// labels of ReachLabels (the coordinator core shared with the product
 /// boundary graph of BoundaryRpqIndex): certain positives from DFS-tree
 /// intervals, certain negatives from post-order interval containment, and a
-/// label-pruned DFS fallback for the rest — every answer is exact.
+/// label-pruned DFS or a 64-lane sweep for the rest — every answer is exact.
 ///
 /// Incremental maintenance mirrors the FragmentContext cache: the owner
 /// marks fragments dirty on the IncrementalReachIndex::SetUpdateListener /
-/// EpochGate invalidation path, re-fetches ONLY the dirty fragments' rows
-/// (the per-fragment sweeps are the expensive part), and Ensure() rebuilds
-/// the small condensation + labels from the per-fragment row cache.
+/// EpochGate invalidation path, re-fetches ONLY the dirty fragments'
+/// condensations, and Ensure() rebuilds the graph and labels from the
+/// per-fragment cache.
 ///
 /// Thread-safety: none. One index belongs to one engine; the engine's
 /// single-dispatcher discipline (and the server's exclusive writer gate
 /// around invalidation) provides the exclusion.
 class BoundaryReachIndex {
  public:
-  /// One coordinator reach question of a batch: does ANY source boundary
-  /// node reach ANY target boundary node? Spans must stay alive through
-  /// AnswerBatch; empty sides answer false.
+  /// What Node() returns for a component id past its fragment's count.
+  static constexpr uint32_t kNoNode = std::numeric_limits<uint32_t>::max();
+
+  /// One coordinator reach question of a batch, by Node() id: does `source`
+  /// reach `target`? (Reflexive.)
   struct ReachQuestion {
-    std::span<const NodeId> sources;
-    std::span<const NodeId> targets;
+    uint32_t source;
+    uint32_t target;
   };
 
   /// `shortcut_budget` caps the transitive shortcut edges ReachLabels adds
-  /// to the boundary condensation at each rebuild (0 disables; answers are
+  /// to the condensation at each rebuild (0 disables; answers are
   /// identical either way, only traversal depth changes).
   explicit BoundaryReachIndex(size_t num_fragments,
                               size_t shortcut_budget = 0);
 
-  /// Installs the boundary rows of one fragment and clears its dirty bit.
+  /// Installs the condensation of one fragment and clears its dirty bit.
   void SetFragmentRows(SiteId site, BoundaryRows rows);
 
   /// Marks one fragment's rows stale (an update structurally touched it).
@@ -87,52 +98,40 @@ class BoundaryReachIndex {
   std::vector<SiteId> DirtySites() const;
   bool dirty() const { return stale_; }
 
-  /// Rebuilds the boundary graph, condensation and labels from the cached
-  /// per-fragment rows. Requires DirtySites() empty. Idempotent when clean.
+  /// Rebuilds the glued graph and its labels from the cached per-fragment
+  /// rows. Requires DirtySites() empty. Idempotent when clean.
   void Ensure();
 
-  /// The fragment's virtual-node table, as installed by SetFragmentRows —
-  /// reach frames reference it by index, exactly like batched BES replies.
-  /// Ensure() interns every entry, so each is a boundary node.
-  const std::vector<NodeId>& oset_globals(SiteId site) const;
+  /// The graph node of component `comp` of fragment `site`, or kNoNode when
+  /// `comp` is not below the fragment's installed component count — the
+  /// check every component id taken from a site reply passes through.
+  uint32_t Node(SiteId site, uint64_t comp) const;
 
-  /// True iff `global` is a boundary node of the current epoch — a valid
-  /// question endpoint. Callers taking endpoints from a site reply check
-  /// this first.
-  bool IsBoundaryNode(NodeId global) const;
+  /// True iff node u reaches node v (reflexive). Both must be Node() ids;
+  /// CHECK-fails otherwise.
+  bool Reaches(uint32_t u, uint32_t v);
 
-  /// True iff boundary node u reaches boundary node v (reflexive). Both must
-  /// be boundary nodes of the current epoch; CHECK-fails otherwise.
-  bool Reaches(NodeId u, NodeId v);
-
-  /// True iff ANY source reaches ANY target (reflexive; duplicate entries
-  /// are fine). One label pass over the source x target component pairs,
-  /// then at most one multi-source label-pruned DFS.
-  bool ReachesAny(std::span<const NodeId> sources,
-                  std::span<const NodeId> targets);
-
-  /// Answers a whole batch, `(*answers)[i] = ReachesAny(questions[i])`,
-  /// 64 questions per bit-parallel word (ReachLabels::ReachesAnyWord): label
+  /// Answers a whole batch, `(*answers)[i] = Reaches(questions[i])`, 64
+  /// questions per bit-parallel word (ReachLabels::ReachesAnyWord): label
   /// pre-filtering per lane, then ONE shared sweep per word instead of a
   /// DFS fallback per question. Resizes `answers`.
   void AnswerBatch(std::span<const ReachQuestion> questions,
                    std::vector<uint8_t>* answers);
 
   // --- observability -------------------------------------------------------
-  size_t num_boundary_nodes() const { return dense_of_.size(); }
-  size_t num_components() const { return labels_.num_components(); }
+  /// Nodes of the glued graph: the fragments' components, summed.
+  size_t num_nodes() const { return labels_.num_nodes(); }
   size_t num_edges() const { return labels_.num_edges(); }
-  /// Full condensation + label rebuilds performed (dirty-epoch count).
+  /// Full graph + label rebuilds performed (dirty-epoch count).
   size_t rebuild_count() const { return rebuild_count_; }
-  /// Lookups (Reaches / ReachesAny calls) decided by labels alone vs
-  /// lookups that needed the pruned-DFS fallback for at least one pair.
+  /// Lookups (Reaches calls, word lanes) decided by labels alone vs
+  /// lookups that needed the pruned-DFS fallback.
   size_t label_hits() const { return labels_.label_hits(); }
   size_t dfs_fallbacks() const { return labels_.dfs_fallbacks(); }
-  /// Batch-path counters (see ReachLabels): words answered, words that
-  /// needed a sweep, lanes answered by sweeps, cumulative sweep expansions,
-  /// and shortcut edges added by the last rebuild.
+  /// Batch-path counters (see ReachLabels): words answered, lanes answered
+  /// by sweeps, cumulative sweep expansions, and shortcut edges added by
+  /// the last rebuild.
   size_t batch_words() const { return labels_.batch_words(); }
-  size_t sweep_count() const { return labels_.sweep_count(); }
   size_t sweep_lanes() const { return labels_.sweep_lanes(); }
   size_t sweep_depth() const { return labels_.sweep_depth(); }
   size_t shortcut_count() const { return labels_.shortcut_count(); }
@@ -141,26 +140,17 @@ class BoundaryReachIndex {
   size_t ByteSize() const;
 
  private:
-  /// Dense id of a boundary-node global id; CHECK-fails for non-boundary
-  /// nodes (a query endpoint outside the current epoch's universe).
-  uint32_t DenseOf(NodeId global) const;
-
   size_t num_fragments_;
   size_t shortcut_budget_;
   std::vector<BoundaryRows> fragment_rows_;
   std::vector<bool> have_rows_;
   std::vector<bool> dirty_;
-  bool stale_ = true;  // condensation/labels out of date w.r.t. the rows
+  bool stale_ = true;  // graph/labels out of date w.r.t. the rows
 
-  // Rebuilt structure (valid while !stale_): the boundary-node universe and
-  // the shared condensation + GRAIL labels over it.
-  std::unordered_map<NodeId, uint32_t> dense_of_;  // boundary global -> dense
+  // Rebuilt structure (valid while !stale_): fragment s's component c is
+  // node node_base_[s] + c, and the labels over the glued graph.
+  std::vector<uint32_t> node_base_;  // num_fragments_ + 1 entries
   ReachLabels labels_;
-
-  // AnswerBatch scratch (flat dense-id storage + the word under assembly),
-  // reused across calls so the batch path allocates nothing steady-state.
-  std::vector<uint32_t> batch_nodes_;
-  std::vector<WordQuestion> batch_word_;
 
   size_t rebuild_count_ = 0;
 };

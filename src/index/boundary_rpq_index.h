@@ -28,7 +28,7 @@ struct ProductPair {
 
 /// Query-independent PRODUCT boundary rows of ONE fragment for ONE canonical
 /// automaton, as shipped to the coordinator by the rpq-index refresh round —
-/// the regular-reachability twin of BoundaryRows. A re-encoding of
+/// the regular-reachability twin of the closure rows. A re-encoding of
 /// FragmentContext::RpqProduct with local ids resolved to globals:
 ///  - `oset_globals` is the fragment's virtual-node table (ascending local
 ///    order, the same table the reach index ships) and `oset_masks[j]` the

@@ -107,7 +107,7 @@ struct TransportOptions {
 /// after shipping `broadcast` verbatim.
 enum class RoundKind : uint8_t {
   kBatchEval = 0,   // multiplexed localEval/localEvald/localEvalr batch
-  kReachRows = 1,   // refresh: closure boundary rows (BoundaryReachIndex)
+  kReachRows = 1,   // refresh: condensation rows (BoundaryReachIndex)
   kDistRows = 2,    // refresh: weighted boundary rows (BoundaryDistIndex)
   kRpqRows = 3,     // refresh: product boundary rows (BoundaryRpqIndex)
   kReachSweep = 4,  // per-query endpoint sweeps, reach indexed path
@@ -143,7 +143,9 @@ struct RoundSpec {
 // software bug, not a transport hazard. Message bodies start with a
 // WireMessage tag; replies start with a status byte. See DESIGN.md §13.
 
-inline constexpr uint8_t kWireVersion = 1;
+// Bumped whenever a message or reply format changes, so a stale worker fails
+// at Hello instead of decoding garbage.
+inline constexpr uint8_t kWireVersion = 2;
 
 enum class WireMessage : uint8_t {
   kHello = 0,     // u8 version, varint site, fragment bytes -> ok reply

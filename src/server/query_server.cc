@@ -196,6 +196,14 @@ uint64_t QueryServer::AddEdge(NodeId u, NodeId v) {
 uint64_t QueryServer::AddEdges(
     std::span<const std::pair<NodeId, NodeId>> edges) {
   if (edges.empty()) return gate_.epoch();  // the index ignores empty batches
+  // A node past the graph would abort the index mid-batch; refuse the whole
+  // batch before it takes the writer gate, like an empty one.
+  for (const auto& [u, v] : edges) {
+    if (u >= num_nodes_ || v >= num_nodes_) {
+      metrics_.AddCounter(CounterId::kUpdatesRejected);
+      return gate_.epoch();
+    }
+  }
   EpochGate::Write writer(&gate_);
   // Exclusive: every in-flight batch has drained, none enters until commit.
   // The index rebuilds the fragmentation in place and fires the listener for

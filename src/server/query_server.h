@@ -148,7 +148,10 @@ class QueryServer {
   uint64_t AddEdge(NodeId u, NodeId v);
 
   /// Applies a whole update batch as ONE snapshot epoch (one structural
-  /// rebuild); the cheaper writer path for bulk loads.
+  /// rebuild); the cheaper writer path for bulk loads. A batch naming a node
+  /// at or past the node count is refused whole: nothing is applied, the
+  /// current epoch is returned (as for an empty batch) and
+  /// server_updates_rejected_total counts it.
   uint64_t AddEdges(std::span<const std::pair<NodeId, NodeId>> edges);
 
   /// Blocks until every query submitted so far has been answered. Queries
@@ -196,7 +199,8 @@ class QueryServer {
   // epochs count from here.
   uint64_t index_epoch_base_ = 0;
   // Node count of the served graph; AddEdges never adds nodes, so a query
-  // endpoint at or past it is malformed for the server's whole lifetime.
+  // or update endpoint at or past it is malformed for the server's whole
+  // lifetime.
   size_t num_nodes_ = 0;
 
   std::array<std::unique_ptr<BatchQueue>, kNumClasses> queues_;

@@ -37,6 +37,8 @@ constexpr MetricInfo kCounterInfos[] = {
      "dispatched EvaluateBatch windows across all classes"},
     {"server_updates_total", "counter", "epochs",
      "committed update epochs"},
+    {"server_updates_rejected_total", "counter", "batches",
+     "AddEdges batches refused whole for naming a node past the graph"},
     {"server_cache_hits_total", "counter", "queries",
      "answer-cache hits served without evaluation"},
     {"server_cache_misses_total", "counter", "queries",

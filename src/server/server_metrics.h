@@ -40,6 +40,7 @@ enum class CounterId : size_t {
                        // corrupt frame) that rejected a dispatched batch
   kBatches,            // EvaluateBatch windows across all classes
   kUpdates,            // committed update epochs
+  kUpdatesRejected,    // AddEdges batches refused for an out-of-range node
   kCacheHits,          // answer-cache hits (served without evaluation)
   kCacheMisses,        // enabled-cache lookups that missed
   kCacheInsertions,    // entries written after evaluation

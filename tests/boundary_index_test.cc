@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "src/baselines/centralized.h"
 #include "src/core/incremental.h"
 #include "src/engine/partial_eval_engine.h"
+#include "src/engine/site_runtime.h"
 #include "src/fragment/partitioner.h"
 #include "src/graph/generators.h"
 #include "src/net/cluster.h"
@@ -31,64 +33,89 @@ using testing_util::kAllEquationForms;
 using testing_util::RandomPartition;
 
 // ---------------------------------------------------------------------------
-// BoundaryRows wire format
+// Hand-built condensations
 
-TEST(BoundaryRowsTest, SerializeRoundTrips) {
-  BoundaryRows rows;
-  rows.oset_globals = {3, 9, 40, 77};
-  rows.rep_globals = {12, 25};
-  rows.rows = {{0, 2, 3}, {}};
-  rows.aliases = {{14, 12}, {30, 25}};
-
-  Encoder enc;
-  rows.Serialize(&enc);
-  Decoder dec(enc.buffer());
-  const BoundaryRows back = BoundaryRows::Deserialize(&dec);
-  EXPECT_TRUE(dec.Done());
-  EXPECT_EQ(back.oset_globals, rows.oset_globals);
-  EXPECT_EQ(back.rep_globals, rows.rep_globals);
-  EXPECT_EQ(back.rows, rows.rows);
-  EXPECT_EQ(back.aliases, rows.aliases);
+// F0 stores 10 -> 11 -> {20, 30} (20 and 30 virtual); F1 stores the cycle
+// 20 <-> 30 with 20 -> 10 (10 virtual) and an isolated in-node 40. Glued,
+// 10 -> 11 -> 20 -> 10 is one cross-fragment cycle.
+BoundaryRows F0Rows() {
+  BoundaryRows f0;  // comps: 0 = 20v, 1 = 30v, 2 = {11}, 3 = {10}
+  f0.offsets = {0, 0, 0, 2, 3};
+  f0.targets = {0, 1, 2};
+  f0.oset_globals = {20, 30};
+  f0.oset_comp = {0, 1};
+  f0.in_globals = {10};
+  f0.in_comp = {3};
+  return f0;
 }
 
-// ---------------------------------------------------------------------------
-// Direct index semantics on a hand-built boundary graph
+BoundaryRows F1Rows(bool forty_reaches_ten) {
+  BoundaryRows f1;  // comps: 0 = 10v, 1 = {20, 30}, 2 = {40}
+  f1.offsets = {0, 0, 1, forty_reaches_ten ? size_t{2} : size_t{1}};
+  f1.targets = {0};
+  if (forty_reaches_ten) f1.targets.push_back(0);
+  f1.oset_globals = {10};
+  f1.oset_comp = {0};
+  f1.in_globals = {20, 30, 40};
+  f1.in_comp = {1, 1, 2};
+  return f1;
+}
 
-// Two fragments: F0's in-node 10 reaches virtual 20 and 30; F1's in-nodes
-// {20, 30} (30 aliased to 20, same local SCC) reach virtual 10 — one big
-// boundary cycle — plus F1's in-node 40 reaching nothing.
+TEST(BoundaryRowsTest, SerializeRoundTrips) {
+  for (const BoundaryRows& rows : {F0Rows(), F1Rows(true)}) {
+    Encoder enc;
+    rows.Serialize(&enc);
+    Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+    const BoundaryRows back = BoundaryRows::Deserialize(&dec);
+    EXPECT_TRUE(dec.Done());
+    EXPECT_EQ(back.offsets, rows.offsets);
+    EXPECT_EQ(back.targets, rows.targets);
+    EXPECT_EQ(back.oset_globals, rows.oset_globals);
+    EXPECT_EQ(back.oset_comp, rows.oset_comp);
+    EXPECT_EQ(back.in_globals, rows.in_globals);
+    EXPECT_EQ(back.in_comp, rows.in_comp);
+  }
+}
+
 TEST(BoundaryReachIndexTest, HandBuiltGraphAnswersAndInvalidates) {
   BoundaryReachIndex index(2);
   EXPECT_EQ(index.DirtySites().size(), 2u);
-
-  BoundaryRows f0;
-  f0.oset_globals = {20, 30};
-  f0.rep_globals = {10};
-  f0.rows = {{0, 1}};
-  index.SetFragmentRows(0, std::move(f0));
-
-  BoundaryRows f1;
-  f1.oset_globals = {10};
-  f1.rep_globals = {20, 40};
-  f1.rows = {{0}, {}};
-  f1.aliases = {{30, 20}};
-  index.SetFragmentRows(1, std::move(f1));
-
+  index.SetFragmentRows(0, F0Rows());
+  index.SetFragmentRows(1, F1Rows(/*forty_reaches_ten=*/false));
   EXPECT_TRUE(index.DirtySites().empty());
   index.Ensure();
   EXPECT_EQ(index.rebuild_count(), 1u);
-  EXPECT_EQ(index.num_boundary_nodes(), 4u);  // 10, 20, 30, 40
+  EXPECT_EQ(index.num_nodes(), 7u);  // 4 + 3 components
 
-  EXPECT_TRUE(index.Reaches(10, 10));  // reflexive
-  EXPECT_TRUE(index.Reaches(10, 20));
-  EXPECT_TRUE(index.Reaches(10, 30));
-  EXPECT_TRUE(index.Reaches(20, 10));
-  EXPECT_TRUE(index.Reaches(30, 10));  // via its alias edge to 20
-  EXPECT_FALSE(index.Reaches(40, 10));
-  EXPECT_FALSE(index.Reaches(10, 40));
-  const NodeId sources[] = {40, 30};
-  const NodeId targets[] = {20};
-  EXPECT_TRUE(index.ReachesAny(sources, targets));
+  const uint32_t n10 = index.Node(0, 3), n11 = index.Node(0, 2);
+  const uint32_t v30 = index.Node(0, 1);
+  const uint32_t n20 = index.Node(1, 1), n40 = index.Node(1, 2);
+  EXPECT_EQ(index.Node(0, 4), BoundaryReachIndex::kNoNode);
+  EXPECT_EQ(index.Node(1, 3), BoundaryReachIndex::kNoNode);
+  EXPECT_EQ(index.Node(1, uint64_t{1} << 40), BoundaryReachIndex::kNoNode);
+
+  EXPECT_TRUE(index.Reaches(n10, n10));  // reflexive
+  EXPECT_TRUE(index.Reaches(n10, n20));  // through 20's virtual copy
+  EXPECT_TRUE(index.Reaches(n20, n10));  // through 10's virtual copy
+  EXPECT_TRUE(index.Reaches(n11, n10));  // around the glued cycle
+  EXPECT_FALSE(index.Reaches(n40, n10));
+  EXPECT_FALSE(index.Reaches(n10, n40));
+
+  // The word path agrees with the scalar path on every pair.
+  std::vector<BoundaryReachIndex::ReachQuestion> questions;
+  for (uint32_t u = 0; u < index.num_nodes(); ++u) {
+    for (uint32_t v = 0; v < index.num_nodes(); ++v) {
+      questions.push_back({u, v});
+    }
+  }
+  std::vector<uint8_t> answers;
+  index.AnswerBatch(questions, &answers);
+  ASSERT_EQ(answers.size(), questions.size());
+  for (size_t i = 0; i < questions.size(); ++i) {
+    EXPECT_EQ(answers[i] != 0,
+              index.Reaches(questions[i].source, questions[i].target))
+        << questions[i].source << " -> " << questions[i].target;
+  }
 
   // Invalidation marks exactly the touched fragment dirty; a clean Ensure
   // is a no-op, a post-refresh Ensure rebuilds once.
@@ -96,15 +123,37 @@ TEST(BoundaryReachIndexTest, HandBuiltGraphAnswersAndInvalidates) {
   EXPECT_EQ(index.rebuild_count(), 1u);
   index.InvalidateFragment(1);
   EXPECT_EQ(index.DirtySites(), std::vector<SiteId>{1});
-  BoundaryRows f1b;
-  f1b.oset_globals = {10};
-  f1b.rep_globals = {20, 40};
-  f1b.rows = {{0}, {0}};  // 40 now reaches virtual 10 too
-  f1b.aliases = {{30, 20}};
-  index.SetFragmentRows(1, std::move(f1b));
+  index.SetFragmentRows(1, F1Rows(/*forty_reaches_ten=*/true));
   index.Ensure();
   EXPECT_EQ(index.rebuild_count(), 2u);
-  EXPECT_TRUE(index.Reaches(40, 30));  // 40 -> 10 -> {20, 30}
+  EXPECT_TRUE(index.Reaches(n40, v30));  // 40 -> 10 -> 11 -> 30v
+}
+
+// An endpoint's whole sweep frame is a flag byte plus its component id(s):
+// at most 1 + 2 * 5 varint bytes for every (s, t), whatever the boundary.
+TEST(BoundarySweepFrameTest, AtMostElevenBytesForEveryPair) {
+  constexpr size_t kSites = 4;
+  Rng rng(1213);
+  for (const auto& partitioner : AllPartitioners()) {
+    SCOPED_TRACE(partitioner->name());
+    const size_t n = 60;
+    const Graph g = ErdosRenyi(n, 4 * n, 1, &rng);
+    const Fragmentation frag = Fragmentation::Build(
+        g, partitioner->Partition(g, kSites, &rng), kSites);
+    FragmentContextCache contexts(&frag);
+    size_t max_bytes = 0;
+    for (NodeId s = 0; s < n; ++s) {
+      for (NodeId t = 0; t < n; ++t) {
+        for (const SiteId site : {frag.site_of(s), frag.site_of(t)}) {
+          Encoder body;
+          EncodeBoundarySweepFrame(frag.fragment(site), &contexts.Get(site),
+                                   s, t, &body);
+          max_bytes = std::max(max_bytes, body.size());
+        }
+      }
+    }
+    EXPECT_LE(max_bytes, 11u);
+  }
 }
 
 // ---------------------------------------------------------------------------

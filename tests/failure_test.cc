@@ -122,21 +122,51 @@ TEST(FailureTest, WeightedRowsDecoderRejectsAliasToUnknownRep) {
   EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
 }
 
-// The reach and rpq rows decoders check content the same way: a row index
-// past the oset (or pair) table, a start-state bit in a compatibility mask,
-// a state past the automaton cap, or an alias naming no group fails a
-// kStatus decode instead of CHECK-aborting the coordinator.
-TEST(FailureTest, ReachRowsDecoderRejectsOsetIndexPastTable) {
-  BoundaryRows rows;
-  rows.oset_globals = {3, 9};
-  rows.rep_globals = {12, 25};
-  rows.rows = {{0}, {1, 2}};  // index 2 of a 2-entry table
-  Encoder enc;
-  rows.Serialize(&enc);
-  Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
-  (void)BoundaryRows::Deserialize(&dec);
-  EXPECT_FALSE(dec.ok());
-  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+// The reach and rpq rows decoders check content the same way: an id past
+// the fragment's component count, a row index past the pair table, a
+// start-state bit in a compatibility mask, a state past the automaton cap,
+// or an alias naming no group fails a kStatus decode instead of
+// CHECK-aborting the coordinator.
+
+// Each edit leaves a BoundaryRows serializable but breaks one invariant its
+// decoder checks: every component id is below num_components().
+void EdgeTargetPastCount(BoundaryRows* rows) {
+  rows->targets.back() = static_cast<uint32_t>(rows->num_components());
+}
+
+void OsetCompPastCount(BoundaryRows* rows) {
+  rows->oset_comp.back() = static_cast<uint32_t>(rows->num_components());
+}
+
+void InCompPastCount(BoundaryRows* rows) {
+  rows->in_comp.back() = static_cast<uint32_t>(rows->num_components());
+}
+
+using ReachRowsEdit = void (*)(BoundaryRows*);
+
+std::vector<ReachRowsEdit> ReachRowsEdits() {
+  return {EdgeTargetPastCount, OsetCompPastCount, InCompPastCount};
+}
+
+TEST(FailureTest, ReachRowsDecoderRejectsEveryBrokenInvariant) {
+  const std::vector<ReachRowsEdit> edits = ReachRowsEdits();
+  for (size_t i = 0; i < edits.size(); ++i) {
+    SCOPED_TRACE("edit " + std::to_string(i));
+    BoundaryRows rows;
+    rows.offsets = {0, 0, 1, 2};  // 2 -> 1 -> 0
+    rows.targets = {0, 1};
+    rows.oset_globals = {3};
+    rows.oset_comp = {0};
+    rows.in_globals = {12, 14};
+    rows.in_comp = {2, 1};
+    edits[i](&rows);
+    Encoder enc;
+    rows.Serialize(&enc);
+    Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+    (void)BoundaryRows::Deserialize(&dec);
+    EXPECT_FALSE(dec.ok());
+    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+  }
 }
 
 // Each edit leaves a ProductBoundaryRows serializable but breaks one
@@ -722,38 +752,29 @@ PayloadEdit ForgeReachRows(void (*edit)(BoundaryRows*)) {
   };
 }
 
-void ReachIndexPastTable(BoundaryRows* rows) {
-  rows->rep_globals.push_back(9);
-  rows->rows.push_back({static_cast<uint32_t>(rows->oset_globals.size())});
-}
-
-/// A one-query reach sweep reply: the honest frame (both lists present)
-/// with `extra` appended to its t-side list of global ids.
-PayloadEdit AppendReachEntry(uint64_t extra) {
-  return [extra](std::vector<uint8_t>* payload) {
+/// A one-query reach sweep reply: the honest frame holding both endpoints,
+/// with its t-side component id replaced by `comp`.
+PayloadEdit ReplaceReachTComponent(uint64_t comp) {
+  return [comp](std::vector<uint8_t>* payload) {
     Decoder dec(*payload);
     Decoder frame = dec.GetFrame();
-    Encoder body;
     const uint8_t flags = frame.GetU8();
     ASSERT_EQ(flags, kFrameHasS | kFrameHasT);
+    Encoder body;
     body.PutU8(flags);
-    const size_t num_s = frame.GetCount();
-    body.PutVarint(num_s);
-    for (size_t i = 0; i < num_s; ++i) body.PutVarint(frame.GetVarint());
-    const size_t num_t = frame.GetCount();
-    body.PutVarint(num_t + 1);
-    for (size_t i = 0; i < num_t; ++i) body.PutVarint(frame.GetVarint());
-    body.PutVarint(extra);
+    body.PutVarint(frame.GetVarint());  // s-side component
+    body.PutVarint(comp);
     Encoder reply;
     reply.PutFrame(body.buffer());
     *payload = reply.TakeBuffer();
   };
 }
 
-// The reach index path checks reply content like the dist path: a refresh
-// row indexing past its oset table, and sweep t-side entries that are no
-// NodeId or no boundary node (the label lookups CHECK-abort on those), each
-// reject their batch with Corruption; the same query is then served.
+// The reach index path checks reply content like the dist path: refresh
+// rows naming a component past the fragment's count, and sweep component
+// ids past the installed count or no NodeId at all (the label lookups
+// CHECK-abort on those), each reject their batch with Corruption; the same
+// query is then served.
 TEST(TransportFailureTest, ForgedReachRepliesRejectBatchesNotProcess) {
   const PaperExample ex = MakePaperExample();
   const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
@@ -763,12 +784,17 @@ TEST(TransportFailureTest, ForgedReachRepliesRejectBatchesNotProcess) {
   ASSERT_EQ(frag.site_of(ex.pat), 2u);
   ASSERT_EQ(frag.site_of(ex.mark), 2u);
 
+  const uint64_t installed =
+      Condense(frag.fragment(2).local_graph()).scc.num_components;
   constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
   std::vector<Forgery> forgeries;
+  for (const ReachRowsEdit edit : ReachRowsEdits()) {
+    forgeries.push_back({RoundKind::kReachRows, ForgeReachRows(edit)});
+  }
   forgeries.push_back(
-      {RoundKind::kReachRows, ForgeReachRows(ReachIndexPastTable)});
-  forgeries.push_back({RoundKind::kReachSweep, AppendReachEntry(ex.tom)});
-  forgeries.push_back({RoundKind::kReachSweep, AppendReachEntry(kNoSuchId)});
+      {RoundKind::kReachSweep, ReplaceReachTComponent(installed)});
+  forgeries.push_back(
+      {RoundKind::kReachSweep, ReplaceReachTComponent(kNoSuchId)});
   std::atomic<size_t> applied{0};
 
   FakeWorkers workers(3);
@@ -779,21 +805,21 @@ TEST(TransportFailureTest, ForgedReachRepliesRejectBatchesNotProcess) {
                           applied);
 }
 
-/// Shifts the oset table by a leading entry that is no boundary node (Tom),
-/// keeping every row pointed at its original entry.
+/// Renames the first virtual node to Tom, who is no in-node anywhere.
 void NonBoundaryFirstOsetEntry(BoundaryRows* rows) {
-  rows->oset_globals.insert(rows->oset_globals.begin(), 9);
-  for (std::vector<uint32_t>& row : rows->rows) {
-    for (uint32_t& idx : row) ++idx;
-  }
+  ASSERT_FALSE(rows->oset_globals.empty());
+  rows->oset_globals.front() = 9;
 }
 
-// A forged oset table passes every decode check, so an honest sweep exit
-// can land on a forged entry. Ensure() interns the whole table, so the
-// label lookup resolves it (to an isolated node) instead of aborting.
+// A forged oset table passes every decode check, so a glue edge may have
+// no real copy to land on. Ensure() leaves that virtual copy's component a
+// dead end, so lookups through it answer instead of aborting.
 TEST(TransportFailureTest, ForgedReachOsetTableCannotAbort) {
   const PaperExample ex = MakePaperExample();
   const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  ASSERT_EQ(frag.fragment(2).ToGlobal(
+                static_cast<NodeId>(frag.fragment(2).num_local())),
+            ex.jack);  // site 2's first virtual node, Pat's one exit
   std::vector<Forgery> forgeries;
   forgeries.push_back(
       {RoundKind::kReachRows, ForgeReachRows(NonBoundaryFirstOsetEntry)});
@@ -807,7 +833,6 @@ TEST(TransportFailureTest, ForgedReachOsetTableCannotAbort) {
     PartialEvalOptions options;
     options.reach_path = ReachAnswerPath::kBoundaryIndex;
     PartialEvalEngine engine(&cluster, options);
-    // Pat's one exit is oset index 0, now the forged entry.
     const std::vector<Query> batch = {Query::Reach(ex.pat, ex.mark)};
     const BatchAnswer served = engine.EvaluateBatch(batch);
     EXPECT_TRUE(served.status.ok()) << served.status.ToString();

@@ -608,6 +608,57 @@ TEST(QueryServerTest, OutOfRangeEndpointRejectedNotFatal) {
   }
 }
 
+// An update naming a node the graph does not have used to CHECK-abort the
+// writer inside IncrementalReachIndex::AddEdges. The server now refuses the
+// whole batch before it takes the writer gate: nothing is applied, the
+// epoch stays, the refusal is counted, and the next valid update and the
+// queries after it are served correctly — BES and indexed paths alike.
+TEST(QueryServerTest, OutOfRangeUpdateRejectedNotFatal) {
+  const PaperExample ex = MakePaperExample();
+  const NodeId n = static_cast<NodeId>(ex.graph.NumNodes());
+  for (const bool indexed : {false, true}) {
+    SCOPED_TRACE(indexed ? "indexed paths" : "BES paths");
+    IncrementalReachIndex index(ex.graph, ex.partition, 3);
+    ServerOptions options;
+    if (indexed) {
+      options.eval.reach_path = ReachAnswerPath::kBoundaryIndex;
+      options.eval.dist_path = DistAnswerPath::kBoundaryIndex;
+      options.eval.rpq_path = RpqAnswerPath::kBoundaryIndex;
+    }
+    QueryServer server(&index, options);
+    EXPECT_FALSE(server.Submit(Query::Reach(ex.ann, ex.tom)).get()
+                     .answer.reachable);
+
+    // The valid edge (Mark -> Tom) rides along and must not be applied.
+    const std::vector<std::pair<NodeId, NodeId>> bad = {{ex.mark, ex.tom},
+                                                        {1000000, 3}};
+    EXPECT_EQ(server.AddEdges(bad), 0u);
+    EXPECT_EQ(server.AddEdge(ex.mark, n), 0u);
+    EXPECT_EQ(server.epoch(), 0u);
+    EXPECT_EQ(index.epoch(), 0u);
+    const MetricsSnapshot snap = server.Metrics();
+    EXPECT_EQ(snap.counter(CounterId::kUpdatesRejected), 2u);
+    EXPECT_EQ(snap.counter(CounterId::kUpdates), 0u);
+    EXPECT_FALSE(server.Submit(Query::Reach(ex.ann, ex.tom)).get()
+                     .answer.reachable);
+
+    EXPECT_EQ(server.AddEdge(ex.mark, ex.tom), 1u);
+    EXPECT_EQ(server.Metrics().counter(CounterId::kUpdatesRejected), 2u);
+    EdgeWorld world = EdgeWorld::FromGraph(ex.graph);
+    world.edges.emplace_back(ex.mark, ex.tom);
+    const Graph updated = world.Build();
+    for (const Query& q :
+         {Query::Reach(ex.ann, ex.tom), Query::Reach(ex.tom, ex.ann),
+          Query::Dist(ex.ann, ex.tom, 8), Query::Reach(ex.pat, ex.mark)}) {
+      const ServedAnswer served = server.Submit(q).get();
+      ASSERT_FALSE(served.rejected);
+      EXPECT_EQ(served.epoch, 1u);
+      EXPECT_EQ(served.answer.reachable, OracleReachable(updated, q));
+    }
+    server.Drain();
+  }
+}
+
 // Regression for the Submit-vs-Stop race: client threads hammer Submit while
 // the main thread stops the server. Before the fix, a Push that lost the
 // race hit PEREACH_CHECK(!shutdown_) and aborted the whole process. Now
