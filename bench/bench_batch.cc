@@ -25,21 +25,10 @@ namespace {
 
 int Run(int argc, char** argv) {
   bool boundary_index = false;
-  bool sweep = true;           // --sweep=on|off: bit-parallel batch words
-  size_t shortcut_budget = 64;  // --shortcut-budget=N: 0 disables shortcuts
   const BenchOptions opts = BenchOptions::Parse(
-      argc, argv, 0.05, 64,
-      [&boundary_index, &sweep, &shortcut_budget](const char* arg) {
+      argc, argv, 0.05, 64, [&boundary_index](const char* arg) {
         if (std::strcmp(arg, "--boundary-index") == 0) {
           boundary_index = true;
-          return true;
-        }
-        if (std::strncmp(arg, "--sweep=", 8) == 0) {
-          sweep = std::strcmp(arg + 8, "off") != 0;
-          return true;
-        }
-        if (std::strncmp(arg, "--shortcut-budget=", 18) == 0) {
-          shortcut_budget = static_cast<size_t>(std::atoll(arg + 18));
           return true;
         }
         return false;
@@ -57,8 +46,6 @@ int Run(int argc, char** argv) {
   const Fragmentation frag = Fragmentation::Build(g, part, k_sites);
   Cluster cluster(&frag, BenchNetwork());
   PartialEvalOptions engine_options;  // kAuto: DAG form wins on this graph
-  engine_options.batch_sweep = sweep;
-  engine_options.shortcut_budget = shortcut_budget;
   if (boundary_index) {
     engine_options.reach_path = ReachAnswerPath::kBoundaryIndex;
     engine_options.dist_path = DistAnswerPath::kBoundaryIndex;
@@ -179,8 +166,6 @@ int Run(int argc, char** argv) {
       {"queries", static_cast<double>(workload.size())},
       {"seed", static_cast<double>(opts.seed)},
       {"boundary_index", boundary_index ? 1.0 : 0.0},
-      {"batch_sweep", sweep ? 1.0 : 0.0},
-      {"shortcut_budget", static_cast<double>(shortcut_budget)},
       {"singles_modeled_ms", singles_total.modeled_ms},
       {"singles_traffic_mb", singles_total.traffic_mb()},
       {"batched_modeled_ms", best_total.modeled_ms},
@@ -205,10 +190,13 @@ int Run(int argc, char** argv) {
         idx != nullptr && !idx->dirty() ? idx->num_nodes() : 0;
     if (num_nodes >= 2) {
       constexpr size_t kLanes = 64;
-      std::vector<BoundaryReachIndex::ReachQuestion> questions(kLanes);
-      for (BoundaryReachIndex::ReachQuestion& q : questions) {
-        q.source = static_cast<uint32_t>(rng.Uniform(num_nodes));
-        q.target = static_cast<uint32_t>(rng.Uniform(num_nodes));
+      std::vector<uint32_t> nodes(2 * kLanes);
+      for (uint32_t& u : nodes) {
+        u = static_cast<uint32_t>(rng.Uniform(num_nodes));
+      }
+      std::vector<WordQuestion> questions(kLanes);
+      for (size_t i = 0; i < kLanes; ++i) {
+        questions[i] = {{&nodes[2 * i], 1}, {&nodes[2 * i + 1], 1}};
       }
 
       // Calibrate the repetition count on the scalar path (>= 10 ms), then
@@ -219,8 +207,8 @@ int Run(int argc, char** argv) {
         StopWatch w;
         for (size_t it = 0; it < iters; ++it) {
           scalar_true = 0;
-          for (const BoundaryReachIndex::ReachQuestion& q : questions) {
-            scalar_true += idx->Reaches(q.source, q.target);
+          for (const WordQuestion& q : questions) {
+            scalar_true += idx->Reaches(q.sources[0], q.targets[0]);
           }
         }
         if (w.ElapsedMs() >= 10.0 || iters >= (size_t{1} << 22)) break;
@@ -232,8 +220,8 @@ int Run(int argc, char** argv) {
         StopWatch w;
         for (size_t it = 0; it < iters; ++it) {
           size_t trues = 0;
-          for (const BoundaryReachIndex::ReachQuestion& q : questions) {
-            trues += idx->Reaches(q.source, q.target);
+          for (const WordQuestion& q : questions) {
+            trues += idx->Reaches(q.sources[0], q.targets[0]);
           }
           PEREACH_CHECK_EQ(trues, scalar_true);
         }
@@ -257,19 +245,16 @@ int Run(int argc, char** argv) {
 
       PrintHeader(
           "Coordinator core: 64 scalar Reaches vs one 64-lane word",
-          {"path", "wall-ms/64q", "sweep-depth", "shortcuts"});
-      char depth_buf[16], sc_buf[16];
+          {"path", "wall-ms/64q", "sweep-depth"});
+      char depth_buf[16];
       std::snprintf(depth_buf, sizeof(depth_buf), "%zu", word_depth);
-      std::snprintf(sc_buf, sizeof(sc_buf), "%zu", idx->shortcut_count());
-      PrintRow({"scalar x64", FormatMs(scalar_ms), "-", "-"});
-      PrintRow({"batch word", FormatMs(sweep_ms), depth_buf, sc_buf});
+      PrintRow({"scalar x64", FormatMs(scalar_ms), "-"});
+      PrintRow({"batch word", FormatMs(sweep_ms), depth_buf});
 
       metrics.emplace_back("reach_coord_scalar64_ms", scalar_ms);
       metrics.emplace_back("reach_coord_sweep64_ms", sweep_ms);
       metrics.emplace_back("reach_sweep_depth",
                            static_cast<double>(word_depth));
-      metrics.emplace_back("reach_shortcut_count",
-                           static_cast<double>(idx->shortcut_count()));
     } else {
       std::printf("\n(no glued graph at this scale; skipping the "
                   "coordinator-core word measurement)\n");

@@ -189,10 +189,9 @@ void BM_AutomatonCanonicalize(benchmark::State& state) {
 }
 BENCHMARK(BM_AutomatonCanonicalize)->Arg(4)->Arg(16)->Arg(60);
 
-// Product-row sweep, cache miss: every iteration rebuilds the fragment's
-// per-automaton product condensation and grouped frontier rows from
-// scratch — what a site pays on an entry's first use (or after an LRU
-// eviction / update invalidation).
+// Product rows, cache miss: every iteration rebuilds the fragment's
+// per-automaton product condensation from scratch — what a site pays on an
+// entry's first use (or after an LRU eviction / update invalidation).
 void BM_RpqProductRowsCacheMiss(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const Fragmentation frag = MakeBenchFragmentation(n, 4, g_seed + 31);
@@ -283,8 +282,7 @@ struct SweepBenchSetup {
 /// single-pair questions per word (the shape RunBoundaryReach produces).
 /// Fills in place — ReachLabels is deliberately non-copyable (threading
 /// contract), so the setup cannot be returned by value.
-void MakeSweepSetup(size_t n, size_t shortcut_budget, uint64_t seed,
-                    SweepBenchSetup* setup) {
+void MakeSweepSetup(size_t n, uint64_t seed, SweepBenchSetup* setup) {
   Rng rng(seed);
   std::vector<std::pair<uint32_t, uint32_t>> edges;
   edges.reserve(3 * n);
@@ -293,7 +291,7 @@ void MakeSweepSetup(size_t n, size_t shortcut_budget, uint64_t seed,
     const uint32_t v = static_cast<uint32_t>(rng.Uniform(n));
     if (u != v) edges.emplace_back(u, v);
   }
-  setup->labels.Build(n, edges, shortcut_budget);
+  setup->labels.Build(n, edges);
   setup->src.resize(64);
   setup->tgt.resize(64);
   setup->word.resize(64);
@@ -305,11 +303,10 @@ void MakeSweepSetup(size_t n, size_t shortcut_budget, uint64_t seed,
 }
 
 // 64 questions answered one scalar ReachesAny at a time — the coordinator's
-// per-query cost before the batch path. Args: {nodes, shortcut_budget}.
+// per-query cost before the batch path. Arg: nodes.
 void BM_ReachesAnyScalar64(benchmark::State& state) {
   SweepBenchSetup setup;
-  MakeSweepSetup(static_cast<size_t>(state.range(0)),
-                 static_cast<size_t>(state.range(1)), g_seed + 37, &setup);
+  MakeSweepSetup(static_cast<size_t>(state.range(0)), g_seed + 37, &setup);
   for (auto _ : state) {
     uint64_t word = 0;
     for (size_t li = 0; li < 64; ++li) {
@@ -323,72 +320,21 @@ void BM_ReachesAnyScalar64(benchmark::State& state) {
   state.counters["dfs_fallbacks"] =
       static_cast<double>(setup.labels.dfs_fallbacks());
 }
-BENCHMARK(BM_ReachesAnyScalar64)
-    ->Args({2000, 0})
-    ->Args({2000, 256})
-    ->Args({20000, 0})
-    ->Args({20000, 256});
+BENCHMARK(BM_ReachesAnyScalar64)->Arg(2000)->Arg(20000);
 
 // The same 64 questions answered in ONE bit-parallel word: label pass per
-// lane, one shared 64-lane sweep for the rest. Args: {nodes, budget}.
+// lane, one shared 64-lane sweep for the rest. Arg: nodes.
 void BM_BitsetSweep64(benchmark::State& state) {
   SweepBenchSetup setup;
-  MakeSweepSetup(static_cast<size_t>(state.range(0)),
-                 static_cast<size_t>(state.range(1)), g_seed + 37, &setup);
+  MakeSweepSetup(static_cast<size_t>(state.range(0)), g_seed + 37, &setup);
   for (auto _ : state) {
     benchmark::DoNotOptimize(setup.labels.ReachesAnyWord(setup.word));
   }
   state.SetItemsProcessed(state.iterations() * 64);
   state.counters["sweep_depth"] =
       static_cast<double>(setup.labels.sweep_depth());
-  state.counters["shortcut_count"] =
-      static_cast<double>(setup.labels.shortcut_count());
 }
-BENCHMARK(BM_BitsetSweep64)
-    ->Args({2000, 0})
-    ->Args({2000, 256})
-    ->Args({20000, 0})
-    ->Args({20000, 256});
-
-// Shortcut-depth ablation on a DEEP graph (a long chain plus sparse random
-// forward edges): how much of the sweep's expansion work the budget buys
-// back. sweep_depth is cumulative over the run; per-word depth is
-// sweep_depth / words. Args: {chain length, shortcut_budget}.
-void BM_BitsetSweepShortcutDepth(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  Rng rng(g_seed + 41);
-  std::vector<std::pair<uint32_t, uint32_t>> edges;
-  edges.reserve(n + n / 4);
-  // Chain i -> i+1 with a few skips: label-undecided long-range questions.
-  for (uint32_t i = 0; i + 1 < n; ++i) edges.emplace_back(i, i + 1);
-  for (size_t e = 0; e < n / 4; ++e) {
-    const uint32_t u = static_cast<uint32_t>(rng.Uniform(n - 1));
-    edges.emplace_back(u, u + 1 + static_cast<uint32_t>(
-                                      rng.Uniform(n - u - 1)));
-  }
-  ReachLabels labels;
-  labels.Build(n, edges, static_cast<size_t>(state.range(1)));
-  std::vector<std::vector<uint32_t>> src(64), tgt(64);
-  std::vector<WordQuestion> word(64);
-  for (size_t li = 0; li < 64; ++li) {
-    const uint32_t s = static_cast<uint32_t>(rng.Uniform(n / 2));
-    src[li] = {s};
-    tgt[li] = {s + static_cast<uint32_t>(rng.Uniform(n / 2))};
-    word[li] = {src[li], tgt[li]};
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(labels.ReachesAnyWord(word));
-  }
-  state.SetItemsProcessed(state.iterations() * 64);
-  state.counters["sweep_depth"] = static_cast<double>(labels.sweep_depth());
-  state.counters["words"] = static_cast<double>(labels.batch_words());
-  state.counters["shortcut_count"] =
-      static_cast<double>(labels.shortcut_count());
-}
-BENCHMARK(BM_BitsetSweepShortcutDepth)
-    ->Args({30000, 0})
-    ->Args({30000, 256})
-    ->Args({30000, 4096});
+BENCHMARK(BM_BitsetSweep64)->Arg(2000)->Arg(20000);
 
 // --- per-query partial evaluation --------------------------------------------
 

@@ -36,11 +36,6 @@ struct ServerBenchFlags {
   // boundary label, and dist dispatchers through the standing weighted
   // boundary graph, instead of solving a BES per query.
   bool boundary_index = false;
-  // --sweep=on|off: coalesced reach batches through the 64-lane bit-parallel
-  // word path vs one scalar coordinator lookup per query (boundary path).
-  bool sweep = true;
-  // --shortcut-budget=N: shortcut edges per boundary-condensation rebuild.
-  size_t shortcut_budget = 64;
   // --cache=on: enable the answer cache in the headline per-query/adaptive
   // configurations too (the dedicated repeated-mix series below always
   // compares cache off vs on regardless of this flag).
@@ -124,7 +119,7 @@ const char* TransportName(TransportBackend backend) {
 // batching amortizes — is visible. --mix=all adds bounded and regular
 // queries; regular queries draw their automata from a small shared pool —
 // serving workloads repeat regexes heavily, which is exactly what the
-// signature-cached product boundary graphs amortize across.
+// signature-cached glued product graphs amortize across.
 Query MakeWorkloadQuery(size_t n, const std::vector<QueryAutomaton>& automata,
                         bool mixed, Rng* rng) {
   const NodeId s = static_cast<NodeId>(rng->Uniform(n));
@@ -162,8 +157,6 @@ ConfigResult RunConfig(const Graph& g, const std::vector<SiteId>& part,
   // — the regime the paper's guarantees (and batching) are about. Applied
   // to both configurations, so the comparison stays fair.
   options.eval.form = EquationForm::kClosure;
-  options.eval.batch_sweep = flags.sweep;
-  options.eval.shortcut_budget = flags.shortcut_budget;
   options.transport.backend = flags.transport;
   if (flags.boundary_index) {
     options.eval.reach_path = ReachAnswerPath::kBoundaryIndex;
@@ -321,14 +314,6 @@ int Run(int argc, char** argv) {
         }
         if (std::strcmp(arg, "--boundary-index") == 0) {
           flags.boundary_index = true;
-          return true;
-        }
-        if (std::strncmp(arg, "--sweep=", 8) == 0) {
-          flags.sweep = std::strcmp(arg + 8, "off") != 0;
-          return true;
-        }
-        if (std::strncmp(arg, "--shortcut-budget=", 18) == 0) {
-          flags.shortcut_budget = static_cast<size_t>(std::atoll(arg + 18));
           return true;
         }
         if (std::strncmp(arg, "--cache=", 8) == 0) {
@@ -580,9 +565,6 @@ int Run(int argc, char** argv) {
                   {"adaptive_modeled_qps", batched.modeled_qps},
                   {"adaptive_modeled_ms", batched.avg_modeled_ms},
                   {"adaptive_avg_batch", batched.avg_batch},
-                  {"batch_sweep", flags.sweep ? 1.0 : 0.0},
-                  {"shortcut_budget",
-                   static_cast<double>(flags.shortcut_budget)},
                   // Per-class dispatcher occupancy (dist/rpq are 0 under
                   // --mix=reach): the reach, dist and rpq series of the
                   // perf artifact, index off/on. The reach series is where

@@ -183,24 +183,25 @@ const FragmentContext::RpqProduct& FragmentContext::rpq_product(
   }
   if (rpq_products_.size() >= rpq_cache_cap_) EvictRpqLru();
 
-  EnsureOset(f);
   const Graph& g = f.local_graph();
   const size_t n = g.NumNodes();
   const LabelIndex& labels = label_index(f);
   auto p = std::make_unique<RpqProduct>(canonical);
 
-  // Compatibility mask per node: interior states matching the node's label.
-  // Virtual nodes additionally carry u_t — any virtual node may be some
-  // query's target, and an edge x -> w with u_t in out_mask(q_x) accepts at
-  // w regardless of which query is asking, so the accept pairs (w, u_t) are
-  // standing product sinks (u_t has no out-transitions).
+  // Compatibility mask per node: interior states matching the node's label,
+  // plus u_t everywhere — any node may be some query's target, and an edge
+  // x -> w with u_t in out_mask(q_x) accepts at w whichever query asks —
+  // and u_s at local nodes, the start pair of any query sourced there.
+  // (w, u_t) has no out-transitions and (v, u_s) no in-transitions, so a
+  // path from (s, u_s) to (t, u_t) runs through interior pairs only.
+  constexpr uint64_t kStartBit = uint64_t{1} << QueryAutomaton::kStart;
   constexpr uint64_t kFinalBit = uint64_t{1} << QueryAutomaton::kFinal;
-  p->compat.assign(n, 0);
+  p->compat.assign(n, kFinalBit);
   for (const auto& [label, nodes] : labels.groups) {
     const uint64_t mask = canonical.StatesWithLabel(label);
-    for (NodeId v : nodes) p->compat[v] = mask;
+    for (NodeId v : nodes) p->compat[v] |= mask;
   }
-  for (NodeId w : oset_locals_) p->compat[w] |= kFinalBit;
+  for (NodeId v = 0; v < f.num_local(); ++v) p->compat[v] |= kStartBit;
 
   // Dense product ids: pid(v, q) = offset[v] + rank of q in compat[v] —
   // the same layout LocalEvalRegular uses.
@@ -213,19 +214,18 @@ const FragmentContext::RpqProduct& FragmentContext::rpq_product(
   const uint64_t num_product = p->pid_offset[n];
   PEREACH_CHECK_LT(num_product, uint64_t{1} << 32);
 
-  // Materialize the interior product graph F_i x G_q and condense it once;
-  // every query over this automaton reuses the condensation.
+  // Materialize the product graph F_i x G_q and condense it once; every
+  // query over this automaton reuses the condensation. No transition enters
+  // u_s: a start pair is only ever a query's source.
   GraphBuilder pb;
   pb.AddNodes(static_cast<size_t>(num_product));
   for (NodeId v = 0; v < n; ++v) {
-    if (p->compat[v] == 0) continue;
     for (NodeId w : g.OutNeighbors(v)) {
-      if (p->compat[w] == 0) continue;
       uint64_t qs = p->compat[v];
       while (qs != 0) {
         const uint32_t q = static_cast<uint32_t>(__builtin_ctzll(qs));
         qs &= qs - 1;
-        uint64_t succs = canonical.out_mask(q) & p->compat[w];
+        uint64_t succs = canonical.out_mask(q) & p->compat[w] & ~kStartBit;
         const NodeId from = p->pid(v, q);
         while (succs != 0) {
           const uint32_t q2 = static_cast<uint32_t>(__builtin_ctzll(succs));
@@ -236,56 +236,6 @@ const FragmentContext::RpqProduct& FragmentContext::rpq_product(
     }
   }
   p->cond = Condense(std::move(pb).Build());
-
-  // Flattened frontier table: (oset position, state) ascending — which is
-  // also ascending pid order, since oset locals are ascending local ids.
-  std::vector<NodeId> targets;
-  for (uint32_t j = 0; j < oset_locals_.size(); ++j) {
-    const NodeId w = oset_locals_[j];
-    uint64_t qs = p->compat[w];
-    while (qs != 0) {
-      const uint32_t q = static_cast<uint32_t>(__builtin_ctzll(qs));
-      qs &= qs - 1;
-      const NodeId product_node = p->pid(w, q);
-      p->table_oset.push_back(j);
-      p->table_state.push_back(static_cast<uint8_t>(q));
-      p->table_comp.push_back(p->cond.scc.component_of[product_node]);
-      targets.push_back(product_node);
-    }
-  }
-
-  // In-pairs grouped by product SCC, dense group ids in first-appearance
-  // order — the same rule ForEachReachableTargetGrouped applies, so its
-  // emitted group ids line up with these (mirrors reach_rows).
-  std::vector<NodeId> sources;
-  std::unordered_map<uint32_t, uint32_t> group_of_comp;
-  for (NodeId in : f.in_nodes()) {
-    uint64_t qs = p->compat[in];
-    while (qs != 0) {
-      const uint32_t q = static_cast<uint32_t>(__builtin_ctzll(qs));
-      qs &= qs - 1;
-      const NodeId product_node = p->pid(in, q);
-      const uint32_t comp = p->cond.scc.component_of[product_node];
-      const auto [slot, inserted] = group_of_comp.emplace(
-          comp, static_cast<uint32_t>(p->group_rep.size()));
-      if (inserted) {
-        p->group_rep.push_back(static_cast<uint32_t>(p->in_pairs.size()));
-        p->group_comp.push_back(comp);
-      }
-      p->in_group.push_back(slot->second);
-      p->in_pairs.emplace_back(in, static_cast<uint8_t>(q));
-      sources.push_back(product_node);
-    }
-  }
-  p->rows.resize(p->group_rep.size());
-  if (!sources.empty() && !targets.empty()) {
-    const std::vector<uint32_t> sweep_groups = ForEachReachableTargetGrouped(
-        p->cond, sources, targets, kRowBlockBits,
-        [&p](uint32_t group, uint32_t table_idx) {
-          p->rows[group].push_back(table_idx);
-        });
-    PEREACH_CHECK(sweep_groups == p->in_group);
-  }
 
   ++section_builds_;
   RpqCacheSlot slot;

@@ -32,10 +32,10 @@ namespace pereach {
 ///    coordinator's weighted boundary graph (BoundaryDistIndex);
 ///  - the label index (regular reachability compatibility masks);
 ///  - the rpq products: per CANONICAL AUTOMATON (signature-keyed, LRU
-///    capped), the fragment's label-compatible product graph over interior
-///    states, its condensation, and the per-in-pair-group frontier rows —
-///    the query-independent part of localEvalr, feeding the coordinator's
-///    product boundary graphs (BoundaryRpqIndex).
+///    capped), the fragment's label-compatible product graph and its
+///    condensation — the query-independent part of localEvalr, glued at the
+///    coordinator into one BoundaryReachIndex per automaton
+///    (BoundaryRpqIndex).
 /// Sections build lazily so workloads only pay for what they touch.
 ///
 /// Thread-safety: one FragmentContext may be used by one thread at a time.
@@ -71,15 +71,13 @@ class FragmentContext {
     std::vector<std::vector<std::pair<uint32_t, uint32_t>>> rows;
   };
 
-  /// Query-independent product structures of this fragment for ONE
+  /// Query-independent product structure of this fragment for ONE
   /// canonical automaton (regular reachability, §5): the label-compatible
-  /// product F_i x G_q over INTERIOR states — virtual nodes additionally
-  /// carry u_t, because any virtual node may be some query's target and the
-  /// hop that ACCEPTS into it is automaton-static (see DESIGN.md §9) — its
-  /// SCC condensation, the flattened (oset entry, state) frontier table,
-  /// and per in-pair SCC group the reachable frontier rows. Everything a
-  /// query needs beyond this is two O(|cond|) sweeps at its endpoint
-  /// fragments.
+  /// product F_i x G_q and its SCC condensation. A node's states are the
+  /// interior states matching its label plus u_t — any node may be some
+  /// query's target — and, at local nodes, u_s — any local node may be some
+  /// query's source (see DESIGN.md §9). A query's whole site-side work is
+  /// then two lookups: comp(s, u_s) and comp(t, u_t).
   struct RpqProduct {
     explicit RpqProduct(QueryAutomaton a) : automaton(std::move(a)) {}
 
@@ -87,17 +85,6 @@ class FragmentContext {
     std::vector<uint64_t> compat;      // per local-graph node: state mask
     std::vector<uint64_t> pid_offset;  // per node: first product id (n + 1)
     Condensation cond;                 // product-graph condensation
-    // Flattened frontier table, ascending (oset position, state):
-    std::vector<uint32_t> table_oset;   // table idx -> oset position
-    std::vector<uint8_t> table_state;   // table idx -> automaton state
-    std::vector<uint32_t> table_comp;   // table idx -> product component
-    // In-pairs (in-node local id, state), ascending, grouped by product SCC
-    // exactly like ReachRows groups in-nodes by local SCC:
-    std::vector<std::pair<NodeId, uint8_t>> in_pairs;
-    std::vector<uint32_t> in_group;   // per in-pair -> group
-    std::vector<uint32_t> group_rep;  // group -> in-pair index
-    std::vector<uint32_t> group_comp; // group -> product component
-    std::vector<std::vector<uint32_t>> rows;  // group -> ascending table idx
 
     /// Dense product id of (v, q); q must be set in compat[v].
     NodeId pid(NodeId v, uint32_t q) const {
@@ -142,11 +129,11 @@ class FragmentContext {
   /// coordinator's BoundaryRpqIndex. Trims a previous round's overshoot.
   void BeginRpqRound();
 
-  /// The cached product structures for the canonical automaton behind
-  /// `signature_key`, building them (one product condensation + one grouped
-  /// sweep) on a miss. The cache holds at most `rpq_cache_cap` distinct
-  /// automata, LRU-evicted; rebuilding after an eviction is deterministic,
-  /// so rows re-fetched by the coordinator always match the sweeps.
+  /// The cached product structure for the canonical automaton behind
+  /// `signature_key`, building it (one product condensation) on a miss. The
+  /// cache holds at most `rpq_cache_cap` distinct automata, LRU-evicted;
+  /// rebuilding after an eviction is deterministic, so rows re-fetched by
+  /// the coordinator always match the sweeps.
   const RpqProduct& rpq_product(const Fragment& f,
                                 const std::string& signature_key,
                                 const QueryAutomaton& canonical);

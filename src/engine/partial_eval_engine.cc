@@ -76,6 +76,28 @@ bool SplitSweepReplies(const std::vector<SiteId>& sites,
   return true;
 }
 
+/// Decodes query `wi`'s endpoint nodes from its reach or rpq sweep frames:
+/// the s-side frame lists s's component first, t's frame (the same frame
+/// when one site stores both) lists t's component last. A reply is not
+/// trusted: false unless both flags are set and each component id names a
+/// node of `index`.
+bool DecodeEndpointNodes(const BoundaryReachIndex& index,
+                         const Fragmentation& frag, const Query& q, size_t wi,
+                         std::vector<std::vector<Decoder>>* frames,
+                         uint32_t* s_node, uint32_t* t_node) {
+  const SiteId s_site = frag.site_of(q.source);
+  const SiteId t_site = frag.site_of(q.target);
+  Decoder& s_frame = (*frames)[s_site][wi];
+  const uint8_t s_flags = s_frame.GetU8();
+  *s_node = index.Node(s_site, s_frame.GetVarint());
+  Decoder& t_frame = (*frames)[t_site][wi];
+  const uint8_t t_flags = t_site == s_site ? s_flags : t_frame.GetU8();
+  *t_node = index.Node(t_site, t_frame.GetVarint());
+  return (s_flags & kFrameHasS) && (t_flags & kFrameHasT) && s_frame.ok() &&
+         t_frame.ok() && *s_node != BoundaryReachIndex::kNoNode &&
+         *t_node != BoundaryReachIndex::kNoNode;
+}
+
 }  // namespace
 
 PartialEvalEngine::PartialEvalEngine(Cluster* cluster,
@@ -245,8 +267,7 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
                                            std::vector<QueryAnswer>* answers) {
   const Fragmentation& frag = cluster_->fragmentation();
   if (boundary_ == nullptr) {
-    boundary_ = std::make_unique<BoundaryReachIndex>(frag.num_fragments(),
-                                                     options_.shortcut_budget);
+    boundary_ = std::make_unique<BoundaryReachIndex>(frag.num_fragments());
   }
 
   // Refresh round: fetch the condensation of every dirty fragment (all of
@@ -295,47 +316,27 @@ Status PartialEvalEngine::RunBoundaryReach(std::span<const Query> queries,
   if (!round.ok()) return round.status();
 
   // Assemble: per query, one (component of s, component of t) question on
-  // the glued graph — no equation system is ever built. A reply is not
-  // trusted: each component id must name a node of the installed graph.
+  // the glued graph — no equation system is ever built — answered 64 lanes
+  // per bit-parallel word.
   StopWatch assemble_watch;
   std::vector<std::vector<Decoder>> frames;
   if (!SplitSweepReplies(sites, round.value(), frag.num_fragments(),
                          wire.size(), &frames)) {
     return MalformedReply("boundary sweep reply");
   }
-  std::vector<BoundaryReachIndex::ReachQuestion> questions(wire.size());
+  std::vector<uint32_t> nodes(2 * wire.size());
+  std::vector<WordQuestion> questions(wire.size());
   for (size_t wi = 0; wi < wire.size(); ++wi) {
-    const Query& q = queries[wire[wi]];
-    const SiteId s_site = frag.site_of(q.source);
-    const SiteId t_site = frag.site_of(q.target);
-    // A frame holding both endpoints lists s's component first.
-    Decoder& s_frame = frames[s_site][wi];
-    const uint8_t s_flags = s_frame.GetU8();
-    questions[wi].source = boundary_->Node(s_site, s_frame.GetVarint());
-    Decoder& t_frame = frames[t_site][wi];
-    const uint8_t t_flags = t_site == s_site ? s_flags : t_frame.GetU8();
-    questions[wi].target = boundary_->Node(t_site, t_frame.GetVarint());
-    if (!(s_flags & kFrameHasS) || !(t_flags & kFrameHasT) ||
-        !s_frame.ok() || !t_frame.ok() ||
-        questions[wi].source == BoundaryReachIndex::kNoNode ||
-        questions[wi].target == BoundaryReachIndex::kNoNode) {
+    if (!DecodeEndpointNodes(*boundary_, frag, queries[wire[wi]], wi, &frames,
+                             &nodes[2 * wi], &nodes[2 * wi + 1])) {
       return MalformedReply("boundary sweep frame");
     }
+    questions[wi] = {{&nodes[2 * wi], 1}, {&nodes[2 * wi + 1], 1}};
   }
-
-  // 64-lane bit-parallel words through AnswerBatch, or one scalar lookup
-  // each when batch_sweep is off (the reference path).
-  if (options_.batch_sweep) {
-    std::vector<uint8_t> batched;
-    boundary_->AnswerBatch(questions, &batched);
-    for (size_t wi = 0; wi < wire.size(); ++wi) {
-      (*answers)[wire[wi]].reachable = batched[wi] != 0;
-    }
-  } else {
-    for (size_t wi = 0; wi < wire.size(); ++wi) {
-      (*answers)[wire[wi]].reachable =
-          boundary_->Reaches(questions[wi].source, questions[wi].target);
-    }
+  std::vector<uint8_t> batched;
+  boundary_->AnswerBatch(questions, &batched);
+  for (size_t wi = 0; wi < wire.size(); ++wi) {
+    (*answers)[wire[wi]].reachable = batched[wi] != 0;
   }
   cluster_->AddCoordinatorWorkMs(assemble_watch.ElapsedMs());
   return Status::OK();
@@ -467,8 +468,7 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
   const Fragmentation& frag = cluster_->fragmentation();
   if (boundary_rpq_ == nullptr) {
     boundary_rpq_ = std::make_unique<BoundaryRpqIndex>(
-        frag.num_fragments(), options_.rpq_cache_entries,
-        options_.shortcut_budget);
+        frag.num_fragments(), options_.rpq_cache_entries);
   }
   boundary_rpq_->BeginBatch();
 
@@ -476,7 +476,7 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
   // maps to one LRU entry and crosses the wire at most once per round.
   struct SigGroup {
     CanonicalAutomaton canon;
-    BoundaryRpqIndex::Entry* entry = nullptr;
+    BoundaryReachIndex* entry = nullptr;
     std::vector<SiteId> dirty;
   };
   std::vector<SigGroup> sigs;
@@ -494,10 +494,10 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
     sig.dirty = sig.entry->DirtySites();
   }
 
-  // Refresh round: fetch the product boundary rows of every dirty
+  // Refresh round: fetch the product condensation of every dirty
   // (fragment, automaton) combination in ONE round — all of them on an
   // entry's first use; exactly the update-touched fragments afterwards —
-  // and rebuild the small per-entry condensation + labels. Amortized across
+  // and rebuild each touched entry's glued graph + labels. Amortized across
   // every later rpq batch over the same automaton until the next update or
   // LRU eviction. The broadcast carries each dirty automaton once plus its
   // site list.
@@ -536,7 +536,7 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
         Decoder dec(rows_replies[ri], Decoder::OnError::kStatus);
         for (uint32_t si : site_sigs[refresh_sites[ri]]) {
           Decoder frame = dec.GetFrame();
-          ProductBoundaryRows rows = ProductBoundaryRows::Deserialize(&frame);
+          BoundaryRows rows = BoundaryRows::Deserialize(&frame);
           if (!frame.Done()) return MalformedReply("product rows frame");
           sigs[si].entry->SetFragmentRows(refresh_sites[ri], std::move(rows));
         }
@@ -547,10 +547,10 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
     }
   }
 
-  // Sweep round over the ENDPOINT fragments only — the product boundary
+  // Sweep round over the ENDPOINT fragments only — the glued product
   // graphs replace the all-sites product-equation broadcast. Each involved
-  // site answers every query of the batch with one tiny frame (its two
-  // query-dependent product sweeps); sites holding neither endpoint of a
+  // site answers every query of the batch with reach's tiny frame,
+  // comp(s, u_s) and/or comp(t, u_t); sites holding neither endpoint of a
   // query emit one flag byte. The broadcast ships the batch's distinct
   // canonical automata once each; queries reference them by index.
   const std::vector<SiteId> sites = EndpointSites(frag, queries, wire);
@@ -573,107 +573,56 @@ Status PartialEvalEngine::RunBoundaryRpq(std::span<const Query> queries,
       cluster_->TryRound(sites, spec, &contexts_);
   if (!round.ok()) return round.status();
 
-  // Assemble: per query, splice the s-side exit pairs onto the t-side
-  // accepting entries (plus the standing accept pair (t, u_t), which covers
-  // acceptance at fragments holding virtual copies of t) through the
-  // standing product graph's labels — no equation system is ever built.
+  // Assemble: per query, does a condensation successor of (s, u_s) reach
+  // (t, u_t) in its entry's glued graph? (s, u_s) has no in-edges, so it is
+  // its own component and never (t, u_t)'s: the expansion is exact, and it
+  // hands the labels interior pairs they decide far more often than the
+  // start pair itself (DESIGN.md §9). Each entry then answers its questions
+  // in 64-lane words — no equation system is ever built.
   StopWatch assemble_watch;
   std::vector<std::vector<Decoder>> frames;
   if (!SplitSweepReplies(sites, round.value(), frag.num_fragments(),
                          wire.size(), &frames)) {
     return MalformedReply("product sweep reply");
   }
-
-  // Decode every query's frames into flat pair storage first (spans are
-  // recorded as offsets so growth can't invalidate them), then answer each
-  // entry's pending questions together: in 64-lane bit-parallel words
-  // through its AnswerBatch, or one scalar lookup per query when
-  // batch_sweep is off (the reference path).
-  std::vector<ProductPair> pairs;
+  // Flat node storage, per query the t node then the s-side successors;
+  // spans are built only after the fill so growth can't invalidate them.
+  std::vector<uint32_t> nodes;
   struct PendingQuestion {
     size_t wi;
-    size_t s_off, s_len;
-    size_t t_off, t_len;
+    size_t offset;
+    size_t num_sources;
   };
   std::vector<std::vector<PendingQuestion>> pending_by_sig(sigs.size());
   for (size_t wi = 0; wi < wire.size(); ++wi) {
-    const Query& q = queries[wire[wi]];
-    QueryAnswer& answer = (*answers)[wire[wi]];
-    BoundaryRpqIndex::Entry& entry = *sigs[query_sig[wi]].entry;
-    const SiteId s_site = frag.site_of(q.source);
-    const SiteId t_site = frag.site_of(q.target);
-
-    Decoder& s_frame = frames[s_site][wi];
-    const uint8_t s_flags = s_frame.GetU8();
-    if (s_flags & kFrameLocalTrue) {
-      answer.reachable = true;
-      continue;
-    }
-    if (!(s_flags & kFrameHasS)) return MalformedReply("product sweep frame");
-    PendingQuestion p;
-    p.wi = wi;
-    p.s_off = pairs.size();
-    const size_t table_size = entry.TableSize(s_site);
-    uint32_t prev = 0;
-    for (size_t n = s_frame.GetCount(); n > 0; --n) {
-      prev += static_cast<uint32_t>(s_frame.GetVarint());
-      if (prev >= table_size) return MalformedReply("product sweep frame");
-      pairs.push_back(entry.TablePair(s_site, prev));
-    }
-    p.s_len = pairs.size() - p.s_off;
-
-    // A reply is not trusted: every t-side entry must be a pair of this
-    // entry's standing graph before the label lookups resolve it.
-    Decoder& t_frame = frames[t_site][wi];
-    uint8_t t_flags = s_flags;
-    if (t_site != s_site) t_flags = t_frame.GetU8();
-    if (!(t_flags & kFrameHasT)) return MalformedReply("product sweep frame");
-    p.t_off = pairs.size();
-    for (size_t n = t_frame.GetCount(2); n > 0; --n) {
-      const uint64_t global = t_frame.GetVarint();
-      const ProductPair pair{static_cast<NodeId>(global), t_frame.GetU8()};
-      if (global >= kInvalidNode || !entry.HasPair(pair)) {
-        return MalformedReply("product sweep frame");
-      }
-      pairs.push_back(pair);
-    }
-    if (!s_frame.ok() || !t_frame.ok()) {
+    const BoundaryReachIndex& entry = *sigs[query_sig[wi]].entry;
+    uint32_t s_node = 0;
+    uint32_t t_node = 0;
+    if (!DecodeEndpointNodes(entry, frag, queries[wire[wi]], wi, &frames,
+                             &s_node, &t_node)) {
       return MalformedReply("product sweep frame");
     }
-    // The standing accept pair (t, u_t): acceptance at any fragment holding
-    // a virtual copy of t routes through it. Absent exactly when t has no
-    // virtual copy, i.e. no cross edge enters t anywhere.
-    const ProductPair accept{q.target,
-                             static_cast<uint8_t>(QueryAutomaton::kFinal)};
-    if (entry.HasPair(accept)) pairs.push_back(accept);
-    p.t_len = pairs.size() - p.t_off;
-    pending_by_sig[query_sig[wi]].push_back(p);
+    const size_t offset = nodes.size();
+    nodes.push_back(t_node);
+    entry.AppendSuccessors(s_node, &nodes);
+    pending_by_sig[query_sig[wi]].push_back(
+        {wi, offset, nodes.size() - offset - 1});
   }
 
-  const std::span<const ProductPair> flat(pairs);
-  std::vector<BoundaryRpqIndex::RpqQuestion> questions;
+  const std::span<const uint32_t> flat(nodes);
+  std::vector<WordQuestion> questions;
   std::vector<uint8_t> batched;
   for (size_t si = 0; si < sigs.size(); ++si) {
     const std::vector<PendingQuestion>& pending = pending_by_sig[si];
     if (pending.empty()) continue;
-    BoundaryRpqIndex::Entry& entry = *sigs[si].entry;
-    if (options_.batch_sweep) {
-      questions.assign(pending.size(), {});
-      for (size_t i = 0; i < pending.size(); ++i) {
-        questions[i].sources =
-            flat.subspan(pending[i].s_off, pending[i].s_len);
-        questions[i].targets =
-            flat.subspan(pending[i].t_off, pending[i].t_len);
-      }
-      entry.AnswerBatch(questions, &batched);
-      for (size_t i = 0; i < pending.size(); ++i) {
-        (*answers)[wire[pending[i].wi]].reachable = batched[i] != 0;
-      }
-    } else {
-      for (const PendingQuestion& p : pending) {
-        (*answers)[wire[p.wi]].reachable = entry.ReachesAny(
-            flat.subspan(p.s_off, p.s_len), flat.subspan(p.t_off, p.t_len));
-      }
+    questions.clear();
+    for (const PendingQuestion& p : pending) {
+      questions.push_back({flat.subspan(p.offset + 1, p.num_sources),
+                           flat.subspan(p.offset, 1)});
+    }
+    sigs[si].entry->AnswerBatch(questions, &batched);
+    for (size_t i = 0; i < pending.size(); ++i) {
+      (*answers)[wire[pending[i].wi]].reachable = batched[i] != 0;
     }
   }
   cluster_->AddCoordinatorWorkMs(assemble_watch.ElapsedMs());

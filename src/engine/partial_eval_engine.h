@@ -50,14 +50,14 @@ enum class DistAnswerPath : uint8_t { kBes = 0, kBoundaryIndex = 1 };
 /// equation system per query (evalDGr).
 ///
 /// kBoundaryIndex short-circuits the solve with a standing coordinator-side
-/// PRODUCT boundary graph per distinct automaton (BoundaryRpqIndex, keyed by
-/// canonical signature behind an LRU cache): an rpq query visits only its
-/// two endpoint fragments for the query-dependent sweeps (s-side exit pairs
-/// seeded from u_s, t-side accepting entry pairs into u_t, local
-/// short-circuit byte) and the coordinator answers with label lookups over
-/// the standing graph — no per-query product construction at non-endpoint
-/// sites, no equation shipping, no BES. Falls back to nothing: the indexed
-/// path is exact for every automaton.
+/// glued graph of the fragments' PRODUCT condensations per distinct
+/// automaton (BoundaryRpqIndex, keyed by canonical signature behind an LRU
+/// cache): an rpq query visits only its two endpoint fragments, which look
+/// up the product components of (s, u_s) and (t, u_t), and the coordinator
+/// answers with label lookups over the standing graph — no per-query
+/// product construction at non-endpoint sites, no equation shipping, no
+/// BES. Falls back to nothing: the indexed path is exact for every
+/// automaton.
 enum class RpqAnswerPath : uint8_t { kBes = 0, kBoundaryIndex = 1 };
 
 struct PartialEvalOptions {
@@ -70,16 +70,9 @@ struct PartialEvalOptions {
   /// Coordinator strategy for regular queries (see RpqAnswerPath).
   RpqAnswerPath rpq_path = RpqAnswerPath::kBes;
   /// LRU entry cap for the signature-keyed rpq caches — the coordinator's
-  /// standing product boundary graphs AND each fragment's product rows.
+  /// standing glued product graphs AND each fragment's product
+  /// condensations.
   size_t rpq_cache_entries = 8;
-  /// Answer indexed coordinator questions in 64-lane bit-parallel words
-  /// (BoundaryReachIndex::AnswerBatch / BoundaryRpqIndex::Entry::AnswerBatch)
-  /// instead of one scalar lookup per query. Exact either way; off is the
-  /// scalar reference path for differential tests.
-  bool batch_sweep = true;
-  /// Transitive shortcut-edge budget per boundary condensation rebuild
-  /// (ReachLabels): cuts sweep/DFS depth, never changes answers. 0 disables.
-  size_t shortcut_budget = 64;
 };
 
 /// The paper's disReach / disDist / disRPQ unified behind the QueryEngine
@@ -142,8 +135,8 @@ class PartialEvalEngine : public QueryEngine {
     return boundary_dist_.get();
   }
 
-  /// The signature-keyed product boundary index, or nullptr before the
-  /// first rpq batch ran with rpq_path == kBoundaryIndex.
+  /// The signature-keyed index of glued product graphs, or nullptr before
+  /// the first rpq batch ran with rpq_path == kBoundaryIndex.
   const BoundaryRpqIndex* boundary_rpq_index() const {
     return boundary_rpq_.get();
   }
@@ -170,11 +163,11 @@ class PartialEvalEngine : public QueryEngine {
                          std::vector<QueryAnswer>* answers);
 
   /// Answers the rpq queries `wire` (indices into `queries`) through the
-  /// signature-keyed product boundary index: one combined refresh round for
-  /// every (dirty fragment, automaton) combination of the batch, one sweep
-  /// round over the endpoint fragments (the batch's distinct automata cross
-  /// the wire once each), label lookups over the standing product graphs to
-  /// assemble.
+  /// signature-keyed index of glued product graphs: one combined refresh
+  /// round for every (dirty fragment, automaton) combination of the batch,
+  /// one sweep round over the endpoint fragments (the batch's distinct
+  /// automata cross the wire once each), label lookups over the standing
+  /// product graphs to assemble.
   Status RunBoundaryRpq(std::span<const Query> queries,
                         const std::vector<size_t>& wire,
                         std::vector<QueryAnswer>* answers);

@@ -7,7 +7,6 @@
 #include "src/engine/query_engine.h"
 #include "src/index/boundary_dist_index.h"
 #include "src/index/boundary_index.h"
-#include "src/index/boundary_rpq_index.h"
 #include "src/regex/canonical.h"
 
 namespace pereach {
@@ -207,174 +206,98 @@ void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
   }
 }
 
-void EncodeBoundarySweepFrame(const Fragment& f, FragmentContext* ctx,
-                              NodeId s, NodeId t, Encoder* body) {
+namespace {
+
+/// The reach and rpq endpoint frame: a flag byte, then `s_comp` and/or
+/// `t_comp` (a component of the condensation the refresh round shipped)
+/// where s and/or t are stored here; the coordinator's glued graph does the
+/// rest. At most 1 + 2 * 5 bytes, whatever the fragment's boundary.
+template <typename SComp, typename TComp>
+void PutEndpointFrame(const Fragment& f, NodeId s, NodeId t, SComp s_comp,
+                      TComp t_comp, Encoder* body) {
   const bool s_here = f.Contains(s);
   const bool t_here = f.Contains(t);
   uint8_t flags = 0;
   if (s_here) flags |= kFrameHasS;
   if (t_here) flags |= kFrameHasT;
   body->PutU8(flags);
-  if (flags == 0) return;
-  // The endpoints' components in the condensation the refresh round
-  // shipped; the coordinator's glued graph does the rest.
-  const std::vector<uint32_t>& comp = ctx->cond(f).scc.component_of;
-  if (s_here) body->PutVarint(comp[f.ToLocal(s)]);
-  if (t_here) body->PutVarint(comp[f.ToLocal(t)]);
+  if (s_here) body->PutVarint(s_comp(f.ToLocal(s)));
+  if (t_here) body->PutVarint(t_comp(f.ToLocal(t)));
 }
 
-void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
+}  // namespace
+
+void EncodeBoundarySweepFrame(const Fragment& f, FragmentContext* ctx,
+                              NodeId s, NodeId t, Encoder* body) {
+  const auto comp_of = [&](NodeId v) {
+    return ctx->cond(f).scc.component_of[v];
+  };
+  PutEndpointFrame(f, s, t, comp_of, comp_of, body);
+}
+
+void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* /*ctx*/,
                          const FragmentContext::RpqProduct& p, NodeId s,
                          NodeId t, Encoder* body) {
-  const bool s_here = f.Contains(s);
-  const bool t_here = f.Contains(t);
-  if (!s_here && !t_here) {
-    body->PutU8(0);
-    return;
-  }
-  const QueryAutomaton& a = p.automaton;
-  const Graph& g = f.local_graph();
-  const size_t num_comps = p.cond.scc.num_components;
-  constexpr uint64_t kFinalBit = uint64_t{1} << QueryAutomaton::kFinal;
-
-  // t-side piece: components whose pairs locally reach (t, u_t). The seeds
-  // are the accepting predecessors (x, q) — edge x -> t_local with u_t in
-  // out_mask(q) — i.e. the product in-edges of the (t, u_t) node that the
-  // standing product materializes only for VIRTUAL copies. An ascending
-  // scan spreads the flag (component ids are reverse topological).
-  std::vector<bool> reaches_final;
-  if (t_here) {
-    reaches_final.assign(num_comps, false);
-    const NodeId t_local = f.ToLocal(t);
-    bool any_seed = false;
-    for (NodeId x : g.InNeighbors(t_local)) {
-      uint64_t qs = p.compat[x];
-      while (qs != 0) {
-        const uint32_t q = static_cast<uint32_t>(__builtin_ctzll(qs));
-        qs &= qs - 1;
-        if ((a.out_mask(q) >> QueryAutomaton::kFinal) & 1) {
-          reaches_final[p.CompOfPair(x, q)] = true;
-          any_seed = true;
-        }
-      }
-    }
-    if (any_seed) {
-      for (uint32_t c = 0; c < num_comps; ++c) {
-        if (reaches_final[c]) continue;
-        for (size_t e = p.cond.offsets[c];
-             e < p.cond.offsets[c + 1] && !reaches_final[c]; ++e) {
-          reaches_final[c] = reaches_final[p.cond.targets[e]];
-        }
-      }
-    }
-  }
-
-  bool local_true = false;
-  std::vector<uint32_t> s_exits;
-  if (s_here) {
-    const NodeId s_local = f.ToLocal(s);
-    // Seeds: the product out-edges of (s, u_s). A hop straight into u_t at
-    // a copy of t (single edge s -> t with epsilon in L(R)) decides the
-    // query; u_t bits at other copies are stripped — for this query those
-    // pairs are not part of the product.
-    std::vector<bool> reachable(num_comps, false);
-    bool any_seed = false;
-    const uint64_t start_mask = a.out_mask(QueryAutomaton::kStart);
-    for (NodeId w : g.OutNeighbors(s_local)) {
-      if (f.ToGlobal(w) == t && a.AcceptsEmpty()) local_true = true;
-      uint64_t qs = start_mask & p.compat[w] & ~kFinalBit;
-      while (qs != 0) {
-        const uint32_t q = static_cast<uint32_t>(__builtin_ctzll(qs));
-        qs &= qs - 1;
-        reachable[p.CompOfPair(w, q)] = true;
-        any_seed = true;
-      }
-    }
-    if (any_seed) {
-      // Descending scan spreads the flag to all successors.
-      for (uint32_t c = static_cast<uint32_t>(num_comps); c-- > 0;) {
-        if (!reachable[c]) continue;
-        for (size_t e = p.cond.offsets[c]; e < p.cond.offsets[c + 1]; ++e) {
-          reachable[p.cond.targets[e]] = true;
-        }
-      }
-    }
-    // Acceptance via an interior path: at a virtual copy of t the accept
-    // pair (t_virtual, u_t) is a standing product node; at the local copy,
-    // any reachable component that reaches u_t closes the match.
-    const uint32_t t_idx = ctx->OsetIndexOf(t);
-    if (!local_true && t_idx != FragmentContext::kNoIndex) {
-      const NodeId t_virtual = ctx->oset_locals(f)[t_idx];
-      local_true =
-          reachable[p.CompOfPair(t_virtual, QueryAutomaton::kFinal)];
-    }
-    if (!local_true && t_here) {
-      for (uint32_t c = 0; c < num_comps && !local_true; ++c) {
-        local_true = reachable[c] && reaches_final[c];
-      }
-    }
-    if (!local_true) {
-      for (uint32_t i = 0; i < p.table_comp.size(); ++i) {
-        if (p.table_state[i] == QueryAutomaton::kFinal) continue;
-        if (reachable[p.table_comp[i]]) s_exits.push_back(i);
-      }
-    }
-  }
-  if (local_true) {
-    body->PutU8(kFrameLocalTrue);
-    return;
-  }
-
-  uint8_t flags = 0;
-  if (s_here) flags |= kFrameHasS;
-  if (t_here) flags |= kFrameHasT;
-  body->PutU8(flags);
-  if (s_here) {
-    body->PutVarint(s_exits.size());
-    uint32_t prev = 0;
-    for (uint32_t idx : s_exits) {  // ascending: delta-encode
-      body->PutVarint(idx - prev);
-      prev = idx;
-    }
-  }
-  if (t_here) {
-    std::vector<ProductPair> t_in;
-    for (size_t gi = 0; gi < p.group_rep.size(); ++gi) {
-      if (!reaches_final[p.group_comp[gi]]) continue;
-      const auto& [local, state] = p.in_pairs[p.group_rep[gi]];
-      t_in.push_back({f.ToGlobal(local), state});
-    }
-    body->PutVarint(t_in.size());
-    for (const ProductPair& pair : t_in) {
-      body->PutVarint(pair.node);
-      body->PutU8(pair.state);
-    }
-  }
+  PutEndpointFrame(
+      f, s, t,
+      [&p](NodeId v) { return p.CompOfPair(v, QueryAutomaton::kStart); },
+      [&p](NodeId v) { return p.CompOfPair(v, QueryAutomaton::kFinal); },
+      body);
 }
 
 // --- Round dispatch (every backend) -----------------------------------------
 
 namespace {
 
-/// The reach refresh round's reply: the fragment's cached condensation with
-/// its boundary tables, in the global-id BoundaryRows the coordinator's
-/// boundary index consumes.
-std::vector<uint8_t> EncodeReachRows(const Fragment& f, FragmentContext* ctx) {
-  const Condensation& cond = ctx->cond(f);
+/// The reach and rpq refresh rounds' reply: a cached condensation with its
+/// boundary tables, in the BoundaryRows the coordinator's glued graph
+/// consumes. `add_keys(v, &keys, &comps)` appends boundary node v's keys and
+/// the component of each.
+template <typename AddKeys>
+std::vector<uint8_t> EncodeGluedRows(const Fragment& f, FragmentContext* ctx,
+                                     const Condensation& cond,
+                                     AddKeys add_keys) {
   BoundaryRows out;
   out.offsets = cond.offsets;
   out.targets = cond.targets;
-  out.oset_globals = ctx->oset_globals(f);
-  out.oset_comp = ctx->oset_comp(f);
-  out.in_globals.reserve(f.in_nodes().size());
-  out.in_comp.reserve(f.in_nodes().size());
-  for (NodeId in : f.in_nodes()) {
-    out.in_globals.push_back(f.ToGlobal(in));
-    out.in_comp.push_back(cond.scc.component_of[in]);
+  for (NodeId w : ctx->oset_locals(f)) {
+    add_keys(w, &out.oset_keys, &out.oset_comp);
   }
+  for (NodeId in : f.in_nodes()) add_keys(in, &out.in_keys, &out.in_comp);
   Encoder reply;
   out.Serialize(&reply);
   return reply.TakeBuffer();
+}
+
+/// The reach refresh round's reply: the local condensation, keyed by global
+/// id.
+std::vector<uint8_t> EncodeReachRows(const Fragment& f, FragmentContext* ctx) {
+  const Condensation& cond = ctx->cond(f);
+  return EncodeGluedRows(
+      f, ctx, cond,
+      [&](NodeId v, std::vector<uint64_t>* keys, std::vector<uint32_t>* comps) {
+        keys->push_back(f.ToGlobal(v));
+        comps->push_back(cond.scc.component_of[v]);
+      });
+}
+
+/// One automaton's part of the rpq refresh round's reply: `p`'s product
+/// condensation, one PackNodeState key per (boundary node, state) pair —
+/// u_s left out, since no transition enters it and no glue edge can land on
+/// it.
+std::vector<uint8_t> EncodeRpqRows(const Fragment& f, FragmentContext* ctx,
+                                   const FragmentContext::RpqProduct& p) {
+  return EncodeGluedRows(
+      f, ctx, p.cond,
+      [&](NodeId v, std::vector<uint64_t>* keys, std::vector<uint32_t>* comps) {
+        uint64_t qs = p.compat[v] & ~(uint64_t{1} << QueryAutomaton::kStart);
+        while (qs != 0) {
+          const uint32_t q = static_cast<uint32_t>(__builtin_ctzll(qs));
+          qs &= qs - 1;
+          keys->push_back(PackNodeState(f.ToGlobal(v), q));
+          comps->push_back(p.CompOfPair(v, q));
+        }
+      });
 }
 
 /// Re-encodes a fragment's cached DistRows into the global-id
@@ -396,33 +319,6 @@ std::vector<uint8_t> EncodeDistRows(const Fragment& f, FragmentContext* ctx) {
   Encoder reply;
   out.Serialize(&reply);
   return reply.TakeBuffer();
-}
-
-/// Re-encodes a fragment's cached per-automaton product structures into the
-/// global-id form the coordinator's product boundary index consumes.
-ProductBoundaryRows BuildProductBoundaryRows(
-    const Fragment& f, FragmentContext* ctx, const std::string& signature_key,
-    const QueryAutomaton& canonical) {
-  const FragmentContext::RpqProduct& p =
-      ctx->rpq_product(f, signature_key, canonical);
-  const std::vector<NodeId>& oset_locals = ctx->oset_locals(f);
-  ProductBoundaryRows out;
-  out.oset_globals = ctx->oset_globals(f);
-  out.oset_masks.reserve(oset_locals.size());
-  for (NodeId w : oset_locals) out.oset_masks.push_back(p.compat[w]);
-  out.rep_pairs.reserve(p.group_rep.size());
-  for (uint32_t rep : p.group_rep) {
-    out.rep_pairs.push_back(
-        {f.ToGlobal(p.in_pairs[rep].first), p.in_pairs[rep].second});
-  }
-  out.rows = p.rows;
-  for (size_t i = 0; i < p.in_pairs.size(); ++i) {
-    const uint32_t g = p.in_group[i];
-    if (p.group_rep[g] == i) continue;
-    out.aliases.push_back(
-        {{f.ToGlobal(p.in_pairs[i].first), p.in_pairs[i].second}, g});
-  }
-  return out;
 }
 
 /// A query as decoded from a round broadcast — Query minus the inline
@@ -549,9 +445,9 @@ Result<std::vector<uint8_t>> RunEndpointSweep(const Fragment& f,
   return reply.TakeBuffer();
 }
 
-/// The rpq refresh round: product boundary rows for every dirty automaton
-/// that lists this site, in broadcast order (matching the coordinator's
-/// site_sigs demux order).
+/// The rpq refresh round: product-condensation rows for every dirty
+/// automaton that lists this site, in broadcast order (matching the
+/// coordinator's site_sigs demux order).
 Result<std::vector<uint8_t>> RunRpqRows(const Fragment& f,
                                         FragmentContext* ctx, Decoder* dec) {
   const size_t num_dirty = dec->GetCount();
@@ -572,10 +468,8 @@ Result<std::vector<uint8_t>> RunRpqRows(const Fragment& f,
   ctx->BeginRpqRound();
   Encoder reply;
   for (const QueryAutomaton& a : mine) {
-    Encoder body;
-    BuildProductBoundaryRows(f, ctx, Canonicalize(a).signature.key, a)
-        .Serialize(&body);
-    reply.PutFrame(body.buffer());
+    reply.PutFrame(EncodeRpqRows(
+        f, ctx, ctx->rpq_product(f, Canonicalize(a).signature.key, a)));
   }
   return reply.TakeBuffer();
 }

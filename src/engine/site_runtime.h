@@ -22,12 +22,9 @@ namespace pereach {
 // Flag bits of a boundary sweep frame.
 inline constexpr uint8_t kFrameHasS = 1;  // s-side entry present
 inline constexpr uint8_t kFrameHasT = 2;  // t-side entry present
-// Extra flag bit of an rpq sweep frame: the query is decided inside this
-// fragment, and the frame ends here.
-inline constexpr uint8_t kFrameLocalTrue = 4;
 // Extra flag bit of a dist sweep frame: a local s -> t distance (within the
-// query bound) is present. Unlike kFrameLocalTrue it does NOT end the frame
-// — a cross-fragment route can still be shorter, so the lists follow.
+// query bound) is present. It does not end the frame — a cross-fragment
+// route can still be shorter, so the lists follow.
 inline constexpr uint8_t kFrameHasLocalDist = 4;
 
 /// Closure-form reach partial answer straight from the cached rows.
@@ -46,9 +43,10 @@ void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
 void EncodeBoundarySweepFrame(const Fragment& f, FragmentContext* ctx,
                               NodeId s, NodeId t, Encoder* body);
 
-/// The query-dependent halves of one regular query at one fragment, encoded
-/// for the product-boundary answer path. `p` must be the fragment's product
-/// for the query's canonical automaton.
+/// The query-dependent halves of one regular query at one fragment: the
+/// reach frame over `p`'s product condensation, carrying comp(s, u_s)
+/// and/or comp(t, u_t) — at most 11 bytes. `p` must be the fragment's
+/// product for the query's canonical automaton; `ctx` is unused.
 void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
                          const FragmentContext::RpqProduct& p, NodeId s,
                          NodeId t, Encoder* body);

@@ -1,7 +1,6 @@
 #include "src/index/boundary_index.h"
 
 #include <algorithm>
-#include <array>
 #include <unordered_map>
 #include <utility>
 
@@ -14,22 +13,22 @@ namespace pereach {
 
 namespace {
 
-void PutCompTable(const std::vector<NodeId>& globals,
+void PutCompTable(const std::vector<uint64_t>& keys,
                   const std::vector<uint32_t>& comps, Encoder* enc) {
-  PEREACH_CHECK_EQ(globals.size(), comps.size());
-  enc->PutVarint(globals.size());
-  for (size_t i = 0; i < globals.size(); ++i) {
-    enc->PutVarint(globals[i]);
+  PEREACH_CHECK_EQ(keys.size(), comps.size());
+  enc->PutVarint(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    enc->PutVarint(keys[i]);
     enc->PutVarint(comps[i]);
   }
 }
 
 void GetCompTable(Decoder* dec, size_t num_components, const char* what,
-                  std::vector<NodeId>* globals, std::vector<uint32_t>* comps) {
-  globals->resize(dec->GetCount(/*min_element_bytes=*/2));
-  comps->resize(globals->size());
-  for (size_t i = 0; i < globals->size(); ++i) {
-    (*globals)[i] = static_cast<NodeId>(dec->GetVarint());
+                  std::vector<uint64_t>* keys, std::vector<uint32_t>* comps) {
+  keys->resize(dec->GetCount(/*min_element_bytes=*/2));
+  comps->resize(keys->size());
+  for (size_t i = 0; i < keys->size(); ++i) {
+    (*keys)[i] = dec->GetVarint();
     const uint64_t comp = dec->GetVarint();
     if (!dec->Require(comp < num_components, what)) return;
     (*comps)[i] = static_cast<uint32_t>(comp);
@@ -49,8 +48,8 @@ void BoundaryRows::Serialize(Encoder* enc) const {
       prev = targets[e];
     }
   }
-  PutCompTable(oset_globals, oset_comp, enc);
-  PutCompTable(in_globals, in_comp, enc);
+  PutCompTable(oset_keys, oset_comp, enc);
+  PutCompTable(in_keys, in_comp, enc);
 }
 
 BoundaryRows BoundaryRows::Deserialize(Decoder* dec) {
@@ -72,20 +71,18 @@ BoundaryRows BoundaryRows::Deserialize(Decoder* dec) {
   }
   GetCompTable(dec, num_components,
                "boundary rows: oset component out of range",
-               &out.oset_globals, &out.oset_comp);
+               &out.oset_keys, &out.oset_comp);
   GetCompTable(dec, num_components,
                "boundary rows: in-node component out of range",
-               &out.in_globals, &out.in_comp);
+               &out.in_keys, &out.in_comp);
   return out;
 }
 
 // ---------------------------------------------------------------------------
 // BoundaryReachIndex
 
-BoundaryReachIndex::BoundaryReachIndex(size_t num_fragments,
-                                       size_t shortcut_budget)
+BoundaryReachIndex::BoundaryReachIndex(size_t num_fragments)
     : num_fragments_(num_fragments),
-      shortcut_budget_(shortcut_budget),
       fragment_rows_(num_fragments),
       have_rows_(num_fragments, false),
       dirty_(num_fragments, true) {}
@@ -129,12 +126,12 @@ void BoundaryReachIndex::Ensure() {
     node_base_[s + 1] = node_base_[s] + static_cast<uint32_t>(
                                             fragment_rows_[s].num_components());
   }
-  // The real copy of every boundary node: its component at its owner.
-  std::unordered_map<NodeId, uint32_t> real_copy;
+  // The real copy of every boundary key: its component at its owner.
+  std::unordered_map<uint64_t, uint32_t> real_copy;
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const BoundaryRows& fr = fragment_rows_[s];
-    for (size_t i = 0; i < fr.in_globals.size(); ++i) {
-      real_copy.emplace(fr.in_globals[i], node_base_[s] + fr.in_comp[i]);
+    for (size_t i = 0; i < fr.in_keys.size(); ++i) {
+      real_copy.emplace(fr.in_keys[i], node_base_[s] + fr.in_comp[i]);
     }
   }
 
@@ -149,15 +146,15 @@ void BoundaryReachIndex::Ensure() {
     }
     // Glue. An oset entry naming no in-node (only a forged reply has one)
     // gets no glue edge: its component stays a dead end.
-    for (size_t j = 0; j < fr.oset_globals.size(); ++j) {
-      const auto it = real_copy.find(fr.oset_globals[j]);
+    for (size_t j = 0; j < fr.oset_keys.size(); ++j) {
+      const auto it = real_copy.find(fr.oset_keys[j]);
       if (it != real_copy.end()) {
         edges.emplace_back(base + fr.oset_comp[j], it->second);
       }
     }
   }
 
-  labels_.Build(node_base_.back(), edges, shortcut_budget_);
+  labels_.Build(node_base_.back(), edges);
   stale_ = false;
   ++rebuild_count_;
 }
@@ -170,6 +167,22 @@ uint32_t BoundaryReachIndex::Node(SiteId site, uint64_t comp) const {
              : kNoNode;
 }
 
+void BoundaryReachIndex::AppendSuccessors(uint32_t node,
+                                          std::vector<uint32_t>* out) const {
+  PEREACH_CHECK(!stale_ && "Ensure() before querying");
+  PEREACH_CHECK_LT(node, node_base_.back());
+  // The fragment whose node range holds `node`: the last base <= node.
+  const size_t site = static_cast<size_t>(
+      std::upper_bound(node_base_.begin(), node_base_.end(), node) -
+      node_base_.begin() - 1);
+  const BoundaryRows& fr = fragment_rows_[site];
+  const uint32_t base = node_base_[site];
+  for (size_t e = fr.offsets[node - base]; e < fr.offsets[node - base + 1];
+       ++e) {
+    out->push_back(base + fr.targets[e]);
+  }
+}
+
 bool BoundaryReachIndex::Reaches(uint32_t u, uint32_t v) {
   PEREACH_CHECK(!stale_ && "Ensure() before querying");
   PEREACH_CHECK_LT(u, node_base_.back());
@@ -177,23 +190,20 @@ bool BoundaryReachIndex::Reaches(uint32_t u, uint32_t v) {
   return labels_.ReachesAny({&u, 1}, {&v, 1});
 }
 
-void BoundaryReachIndex::AnswerBatch(std::span<const ReachQuestion> questions,
+void BoundaryReachIndex::AnswerBatch(std::span<const WordQuestion> questions,
                                      std::vector<uint8_t>* answers) {
   PEREACH_CHECK(!stale_ && "Ensure() before querying");
+  for (const WordQuestion& q : questions) {
+    for (const uint32_t u : q.sources) PEREACH_CHECK_LT(u, node_base_.back());
+    for (const uint32_t v : q.targets) PEREACH_CHECK_LT(v, node_base_.back());
+  }
   answers->assign(questions.size(), 0);
-  std::array<WordQuestion, BitsetSweep::kLanes> word;
   for (size_t base = 0; base < questions.size();
        base += BitsetSweep::kLanes) {
     const size_t lanes =
         std::min(BitsetSweep::kLanes, questions.size() - base);
-    for (size_t li = 0; li < lanes; ++li) {
-      const ReachQuestion& q = questions[base + li];
-      PEREACH_CHECK_LT(q.source, node_base_.back());
-      PEREACH_CHECK_LT(q.target, node_base_.back());
-      word[li] = {{&q.source, 1}, {&q.target, 1}};
-    }
     const uint64_t bits =
-        labels_.ReachesAnyWord(std::span(word).first(lanes));
+        labels_.ReachesAnyWord(questions.subspan(base, lanes));
     for (size_t li = 0; li < lanes; ++li) {
       (*answers)[base + li] = static_cast<uint8_t>((bits >> li) & 1);
     }
@@ -205,8 +215,8 @@ size_t BoundaryReachIndex::ByteSize() const {
   for (const BoundaryRows& fr : fragment_rows_) {
     bytes += fr.offsets.size() * sizeof(size_t) +
              fr.targets.size() * sizeof(uint32_t) +
-             (fr.oset_globals.size() + fr.in_globals.size()) *
-                 (sizeof(NodeId) + sizeof(uint32_t));
+             (fr.oset_keys.size() + fr.in_keys.size()) *
+                 (sizeof(uint64_t) + sizeof(uint32_t));
   }
   return bytes;
 }

@@ -12,21 +12,25 @@
 
 namespace pereach {
 
-/// Query-independent reach structure of ONE fragment, as shipped to the
-/// coordinator by the reach refresh round: the fragment's cached SCC
-/// condensation (FragmentContext::cond) with its boundary resolved to
-/// global ids.
+/// Query-independent structure of ONE fragment, as shipped to the
+/// coordinator by a refresh round: a cached SCC condensation with its
+/// boundary resolved to global KEYS. The reach round ships the local graph's
+/// condensation (FragmentContext::cond), keyed by global node id; the rpq
+/// round ships one automaton's product condensation
+/// (FragmentContext::RpqProduct::cond), keyed by PackNodeState(global id,
+/// state) — one key per product pair of a boundary node.
 ///  - `offsets` / `targets`: the condensation in CSR form, component c's
 ///    successors at targets[offsets[c] .. offsets[c + 1]);
-///  - `oset_globals` / `oset_comp`: the virtual nodes (ascending local
-///    order) and the component each one is;
-///  - `in_globals` / `in_comp`: the in-nodes and the component of each.
+///  - `oset_keys` / `oset_comp`: the virtual nodes (ascending local order)
+///    or their product pairs, and the component each one is;
+///  - `in_keys` / `in_comp`: the in-nodes or their product pairs, and the
+///    component of each.
 struct BoundaryRows {
   std::vector<size_t> offsets;  // num_components() + 1 entries
   std::vector<uint32_t> targets;
-  std::vector<NodeId> oset_globals;
+  std::vector<uint64_t> oset_keys;
   std::vector<uint32_t> oset_comp;
-  std::vector<NodeId> in_globals;
+  std::vector<uint64_t> in_keys;
   std::vector<uint32_t> in_comp;
 
   size_t num_components() const {
@@ -40,10 +44,11 @@ struct BoundaryRows {
 };
 
 /// Coordinator-side reachability index over the fragments' GLUED
-/// CONDENSATIONS: one node per (fragment, component of its local SCC
+/// CONDENSATIONS: one node per (fragment, component of its installed
 /// condensation), the condensation edges of every fragment, and one glue
 /// edge from each virtual copy's component to the component of its real
-/// copy at the owning fragment (every virtual node is an in-node there).
+/// copy (the in-table entry with the same key) at the owning fragment —
+/// every virtual node is an in-node there.
 /// The graph is exact for G: a local path maps onto its fragment's
 /// condensation, and a cross edge a -> w maps onto a's component reaching
 /// w's virtual copy, then the glue edge to comp(w) at w's owner. Conversely
@@ -54,11 +59,15 @@ struct BoundaryRows {
 /// traffic is O(|Q|) whatever the fragments' boundaries are. The graph has
 /// the fragments' condensation sizes, not |I| x |O| closure rows.
 ///
+/// The same class, over pair-keyed product condensations, is every entry of
+/// BoundaryRpqIndex: each virtual pair (w, q) is glued to the real pair
+/// (w, q) at w's owner, and (s, u_s) reaches (t, u_t) in that graph iff
+/// s reaches t along a path matching the automaton (DESIGN.md §9).
+///
 /// On top of the graph the index keeps the SCC condensation plus GRAIL-style
-/// labels of ReachLabels (the coordinator core shared with the product
-/// boundary graph of BoundaryRpqIndex): certain positives from DFS-tree
-/// intervals, certain negatives from post-order interval containment, and a
-/// label-pruned DFS or a 64-lane sweep for the rest — every answer is exact.
+/// labels of ReachLabels: certain positives from DFS-tree intervals, certain
+/// negatives from post-order interval containment, and a label-pruned DFS or
+/// a 64-lane sweep for the rest — every answer is exact.
 ///
 /// Incremental maintenance mirrors the FragmentContext cache: the owner
 /// marks fragments dirty on the IncrementalReachIndex::SetUpdateListener /
@@ -74,18 +83,7 @@ class BoundaryReachIndex {
   /// What Node() returns for a component id past its fragment's count.
   static constexpr uint32_t kNoNode = std::numeric_limits<uint32_t>::max();
 
-  /// One coordinator reach question of a batch, by Node() id: does `source`
-  /// reach `target`? (Reflexive.)
-  struct ReachQuestion {
-    uint32_t source;
-    uint32_t target;
-  };
-
-  /// `shortcut_budget` caps the transitive shortcut edges ReachLabels adds
-  /// to the condensation at each rebuild (0 disables; answers are
-  /// identical either way, only traversal depth changes).
-  explicit BoundaryReachIndex(size_t num_fragments,
-                              size_t shortcut_budget = 0);
+  explicit BoundaryReachIndex(size_t num_fragments);
 
   /// Installs the condensation of one fragment and clears its dirty bit.
   void SetFragmentRows(SiteId site, BoundaryRows rows);
@@ -107,15 +105,22 @@ class BoundaryReachIndex {
   /// check every component id taken from a site reply passes through.
   uint32_t Node(SiteId site, uint64_t comp) const;
 
+  /// Appends to `out` the nodes `node`'s component points to in its own
+  /// fragment's installed condensation (glue edges excluded). `node` must be
+  /// a Node() id.
+  void AppendSuccessors(uint32_t node, std::vector<uint32_t>* out) const;
+
   /// True iff node u reaches node v (reflexive). Both must be Node() ids;
   /// CHECK-fails otherwise.
   bool Reaches(uint32_t u, uint32_t v);
 
-  /// Answers a whole batch, `(*answers)[i] = Reaches(questions[i])`, 64
-  /// questions per bit-parallel word (ReachLabels::ReachesAnyWord): label
-  /// pre-filtering per lane, then ONE shared sweep per word instead of a
-  /// DFS fallback per question. Resizes `answers`.
-  void AnswerBatch(std::span<const ReachQuestion> questions,
+  /// Answers a whole batch of set questions by Node() id: `(*answers)[i]`
+  /// is whether ANY source of questions[i] reaches ANY of its targets
+  /// (reflexive; an empty side answers false). 64 questions per
+  /// bit-parallel word (ReachLabels::ReachesAnyWord): label pre-filtering
+  /// per lane, then ONE shared sweep per word instead of a DFS fallback per
+  /// question. Resizes `answers`.
+  void AnswerBatch(std::span<const WordQuestion> questions,
                    std::vector<uint8_t>* answers);
 
   // --- observability -------------------------------------------------------
@@ -129,19 +134,16 @@ class BoundaryReachIndex {
   size_t label_hits() const { return labels_.label_hits(); }
   size_t dfs_fallbacks() const { return labels_.dfs_fallbacks(); }
   /// Batch-path counters (see ReachLabels): words answered, lanes answered
-  /// by sweeps, cumulative sweep expansions, and shortcut edges added by
-  /// the last rebuild.
+  /// by sweeps, and cumulative sweep expansions.
   size_t batch_words() const { return labels_.batch_words(); }
   size_t sweep_lanes() const { return labels_.sweep_lanes(); }
   size_t sweep_depth() const { return labels_.sweep_depth(); }
-  size_t shortcut_count() const { return labels_.shortcut_count(); }
 
   /// Rough resident size of the rebuilt structure, bytes.
   size_t ByteSize() const;
 
  private:
   size_t num_fragments_;
-  size_t shortcut_budget_;
   std::vector<BoundaryRows> fragment_rows_;
   std::vector<bool> have_rows_;
   std::vector<bool> dirty_;

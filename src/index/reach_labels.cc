@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <functional>
-#include <unordered_set>
 #include <utility>
 
 #include "src/graph/algorithms.h"
@@ -76,7 +74,7 @@ uint64_t BitsetSweep::Run(std::span<const size_t> offsets,
         Touch(v);
         // Push-time target check: lanes resolve the moment their frontier
         // lands on a target, so the sweep (and its depth) stops early on
-        // all-positive words — this is where shortcut edges pay off.
+        // all-positive words.
         const uint64_t hit = m & tmask_[v].word(0);
         if (hit != 0) {
           result |= hit;
@@ -107,9 +105,9 @@ uint64_t BitsetSweep::Run(std::span<const size_t> offsets,
 
 // --- ReachLabels -----------------------------------------------------------
 
-void ReachLabels::Build(size_t num_nodes,
-                        const std::vector<std::pair<uint32_t, uint32_t>>& edges,
-                        size_t shortcut_budget) {
+void ReachLabels::Build(
+    size_t num_nodes,
+    const std::vector<std::pair<uint32_t, uint32_t>>& edges) {
   ScopedExclusiveUse guard(&exclusive_use_);
   // 1. Condense. The graph is built as a real Graph so the SCC /
   // condensation machinery (and its reverse-topological id guarantee) is
@@ -124,15 +122,8 @@ void ReachLabels::Build(size_t num_nodes,
   component_of_ = cond.scc.component_of;
   adj_offsets_ = cond.offsets;
   adj_targets_ = cond.targets;
-  num_base_edges_ = adj_targets_.size();
 
-  // 2. Shortcuts: spend the budget on transitive 2-hop edges before the
-  // labels are computed, so labels and lookups see one augmented CSR. Every
-  // shortcut is witnessed by an existing path, so the reachability relation
-  // (and every answer) is unchanged — only traversal depth shrinks.
-  AddShortcuts(shortcut_budget);
-
-  // 3. Labels over the (augmented) condensation. Two deterministic DFS
+  // 2. Labels over the condensation. Two deterministic DFS
   // labelings (natural and reversed child order); the first one's DFS-tree
   // intervals [tin, tout) double as the certain-positive check.
   labels_.assign(num_comps_, CompLabel{});
@@ -173,7 +164,7 @@ void ReachLabels::Build(size_t num_nodes,
       }
     }
     // low = min post rank over all descendants: component ids are reverse
-    // topological (every edge — shortcuts included — goes to a smaller id),
+    // topological (every edge goes to a smaller id),
     // so an ascending scan sees every successor's final low.
     for (uint32_t c = 0; c < num_comps_; ++c) {
       uint32_t low = labels_[c].post[labeling];
@@ -189,114 +180,6 @@ void ReachLabels::Build(size_t num_nodes,
   sweep_.Resize(num_comps_);
 }
 
-void ReachLabels::AddShortcuts(size_t budget) {
-  shortcut_count_ = 0;
-  if (budget == 0 || num_comps_ < 3 || adj_targets_.empty()) return;
-
-  // Hubs: high (in+1)*(out+1) score first — midpoints that sit on many
-  // source->target routes — higher id on ties (more graph below to jump
-  // over). Deterministic, so rebuilds of the same condensation add the same
-  // shortcut set.
-  std::vector<size_t> in_deg(num_comps_, 0);
-  std::vector<size_t> out_deg(num_comps_, 0);
-  for (uint32_t c = 0; c < num_comps_; ++c) {
-    out_deg[c] = adj_offsets_[c + 1] - adj_offsets_[c];
-    for (size_t e = adj_offsets_[c]; e < adj_offsets_[c + 1]; ++e) {
-      ++in_deg[adj_targets_[e]];
-    }
-  }
-  std::vector<uint32_t> hubs(num_comps_);
-  for (uint32_t c = 0; c < num_comps_; ++c) hubs[c] = c;
-  const auto score = [&](uint32_t c) {
-    return (in_deg[c] + 1) * (out_deg[c] + 1);
-  };
-  std::sort(hubs.begin(), hubs.end(), [&](uint32_t a, uint32_t b) {
-    const size_t sa = score(a);
-    const size_t sb = score(b);
-    return sa != sb ? sa > sb : a > b;
-  });
-  hubs.resize(std::min<size_t>(num_comps_, std::max<size_t>(4, budget / 8)));
-
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(adj_targets_.size() + budget);
-  const auto pack = [](uint32_t u, uint32_t v) {
-    return (uint64_t{u} << 32) | v;
-  };
-  for (uint32_t c = 0; c < num_comps_; ++c) {
-    for (size_t e = adj_offsets_[c]; e < adj_offsets_[c + 1]; ++e) {
-      seen.insert(pack(c, adj_targets_[e]));
-    }
-  }
-
-  // Per round, compose h -> mid -> w into a direct h -> w. Mids include the
-  // shortcuts added so far, so a hub's jump distance roughly doubles per
-  // round (the hopset-by-squaring idea, budget-truncated). Both caps bound
-  // build work on adversarial shapes: `remaining` the edges added, the
-  // examine cap the pairs inspected.
-  std::vector<std::vector<uint32_t>> extra(num_comps_);
-  size_t remaining = budget;
-  size_t examined = 0;
-  constexpr size_t kMaxRounds = 16;
-  constexpr size_t kExamineCap = size_t{1} << 18;
-  for (size_t round = 0; round < kMaxRounds && remaining > 0; ++round) {
-    bool added_any = false;
-    for (const uint32_t h : hubs) {
-      // Edges added to h this round are not chased as mids until the next
-      // round, or the doubling would degenerate into unbounded chaining.
-      const size_t frozen = extra[h].size();
-      const auto try_add = [&](uint32_t w) {
-        ++examined;
-        if (seen.insert(pack(h, w)).second) {
-          extra[h].push_back(w);
-          ++shortcut_count_;
-          --remaining;
-          added_any = true;
-        }
-      };
-      const auto for_each_succ = [&](uint32_t m, auto&& fn) {
-        for (size_t e = adj_offsets_[m];
-             e < adj_offsets_[m + 1] && remaining > 0 && examined < kExamineCap;
-             ++e) {
-          fn(adj_targets_[e]);
-        }
-        const std::vector<uint32_t>& ex = extra[m];
-        const size_t limit = m == h ? frozen : ex.size();
-        for (size_t i = 0;
-             i < limit && remaining > 0 && examined < kExamineCap; ++i) {
-          fn(ex[i]);
-        }
-      };
-      // w < mid < h along every composed pair, so shortcuts keep the
-      // reverse-topological edge invariant the sweep and `low` scan rely on.
-      for_each_succ(h, [&](uint32_t mid) { for_each_succ(mid, try_add); });
-      if (remaining == 0 || examined >= kExamineCap) break;
-    }
-    if (!added_any || examined >= kExamineCap) break;
-  }
-  if (shortcut_count_ == 0) return;
-
-  // Merge the extra lists into a fresh CSR, per-node descending (toward the
-  // far end first, where targets resolve).
-  std::vector<size_t> offsets(num_comps_ + 1, 0);
-  for (uint32_t c = 0; c < num_comps_; ++c) {
-    offsets[c + 1] = offsets[c] + (adj_offsets_[c + 1] - adj_offsets_[c]) +
-                     extra[c].size();
-  }
-  std::vector<uint32_t> targets(offsets.back());
-  for (uint32_t c = 0; c < num_comps_; ++c) {
-    size_t w = offsets[c];
-    for (size_t e = adj_offsets_[c]; e < adj_offsets_[c + 1]; ++e) {
-      targets[w++] = adj_targets_[e];
-    }
-    for (const uint32_t v : extra[c]) targets[w++] = v;
-    std::sort(targets.begin() + static_cast<ptrdiff_t>(offsets[c]),
-              targets.begin() + static_cast<ptrdiff_t>(offsets[c + 1]),
-              std::greater<uint32_t>());
-  }
-  adj_offsets_ = std::move(offsets);
-  adj_targets_ = std::move(targets);
-}
-
 bool ReachLabels::LabelContains(uint32_t cu, uint32_t cv) const {
   const CompLabel& lu = labels_[cu];
   const uint32_t pv0 = labels_[cv].post[0];
@@ -310,7 +193,7 @@ int ReachLabels::LabelVerdict(uint32_t cu, uint32_t cv) const {
   // Reverse-topological ids: a descendant always has a smaller id.
   if (cv > cu) return 0;
   // Certain positive: cv sits inside cu's DFS-tree subtree (tree edges are
-  // condensation edges or shortcuts, so the tree path is a real path).
+  // condensation edges, so the tree path is a real path).
   const CompLabel& lu = labels_[cu];
   const uint32_t tv = labels_[cv].tin;
   if (lu.tin <= tv && tv < lu.tout) return 1;

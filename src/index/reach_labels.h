@@ -28,9 +28,7 @@ struct WordQuestion {
 /// expanded, so its lane mask is final and each node is processed at most
 /// once — O(nodes-in-range + edges) for 64 questions instead of 64
 /// traversals. Target hits are detected at push time, so the sweep exits as
-/// soon as every live lane has found a target; shortcut edges (see
-/// ReachLabels::Build) land masks on far descendants early and cut the
-/// expansion depth of positive lanes.
+/// soon as every live lane has found a target.
 ///
 /// Scratch is owned by the engine and cleared via a touched list, so
 /// back-to-back runs cost O(touched), not O(num_nodes).
@@ -54,8 +52,8 @@ class BitsetSweep {
   uint64_t Run(std::span<const size_t> offsets,
                std::span<const uint32_t> targets, uint64_t undecided);
 
-  /// Nodes expanded by the most recent Run — the depth measure shortcut
-  /// edges and the early positive exit cut.
+  /// Nodes expanded by the most recent Run — the depth measure the early
+  /// positive exit cuts.
   size_t last_depth() const { return last_depth_; }
 
  private:
@@ -76,10 +74,8 @@ class BitsetSweep {
 };
 
 /// GRAIL-style reachability labels over the SCC condensation of a small
-/// dense-id graph — the shared coordinator core behind the standing boundary
-/// indexes (BoundaryReachIndex over boundary NODES, BoundaryRpqIndex over
-/// boundary (node, automaton state) PAIRS). Owners intern their domain keys
-/// to dense ids and delegate condensation, labeling and lookups here.
+/// dense-id graph — the coordinator core behind BoundaryReachIndex, whose
+/// glued graphs serve reach and, one per automaton, regular reachability.
 ///
 /// Per component the label keeps the DFS-tree interval [tin, tout) for
 /// certain POSITIVES (v inside u's DFS subtree) and kNumLabelings post-order
@@ -88,14 +84,8 @@ class BitsetSweep {
 /// answer reachability in near-constant time). Lookups neither label decides
 /// fall back to a label-pruned DFS over the condensation (scalar ReachesAny)
 /// or enter one shared 64-lane BitsetSweep (batched ReachesAnyWord), so
-/// every answer is exact. Build can additionally spend `shortcut_budget`
-/// edges on transitive SHORTCUTS through sampled high-degree midpoints
-/// (Jambulapati–Liu–Sidford: shortcut edges cut reachability depth): each
-/// added edge u -> w is witnessed by an existing 2-edge path, so the
-/// reachability relation — and hence every answer — is unchanged while
-/// fallback DFS and sweep expansions reach targets in far fewer hops.
-/// `label_hits` / `dfs_fallbacks` / `batch_words` / `sweep_count` /
-/// `sweep_depth` / `shortcut_count` stay observable.
+/// every answer is exact. `label_hits` / `dfs_fallbacks` / `batch_words` /
+/// `sweep_count` / `sweep_depth` stay observable.
 ///
 /// Thread-safety: none — lookups mutate versioned scratch, so a single
 /// instance must never be shared across concurrent dispatchers. Each owning
@@ -108,12 +98,10 @@ class ReachLabels {
   ReachLabels() = default;
 
   /// Condenses the edge list over `num_nodes` dense ids and rebuilds the
-  /// labels from scratch; spends up to `shortcut_budget` extra transitive
-  /// edges on depth-cutting shortcuts. May be called repeatedly; each call
-  /// is a full rebuild. Edge endpoints must be < num_nodes.
+  /// labels from scratch. May be called repeatedly; each call is a full
+  /// rebuild. Edge endpoints must be < num_nodes.
   void Build(size_t num_nodes,
-             const std::vector<std::pair<uint32_t, uint32_t>>& edges,
-             size_t shortcut_budget = 0);
+             const std::vector<std::pair<uint32_t, uint32_t>>& edges);
 
   /// Component of a dense node id (valid after Build).
   uint32_t comp_of(uint32_t node) const {
@@ -137,10 +125,8 @@ class ReachLabels {
   // --- observability -------------------------------------------------------
   size_t num_nodes() const { return component_of_.size(); }
   size_t num_components() const { return num_comps_; }
-  /// Deduplicated condensation edges (shortcuts not included).
-  size_t num_edges() const { return num_base_edges_; }
-  /// Transitive shortcut edges added by the last Build.
-  size_t shortcut_count() const { return shortcut_count_; }
+  /// Deduplicated condensation edges.
+  size_t num_edges() const { return adj_targets_.size(); }
   /// Lookups (scalar calls, or word lanes) decided by labels alone vs
   /// scalar lookups that needed the pruned-DFS fallback.
   size_t label_hits() const { return label_hits_; }
@@ -176,24 +162,16 @@ class ReachLabels {
   int LabelVerdict(uint32_t cu, uint32_t cv) const;
   bool LabelContains(uint32_t cu, uint32_t cv) const;
 
-  /// Spends up to `budget` transitive 2-hop edges through sampled
-  /// high-degree midpoints, rebuilding the CSR in place. Repeated rounds
-  /// compose previously added shortcuts, so hub jump distances double.
-  void AddShortcuts(size_t budget);
-
   /// Dedupes `nodes` to sorted component ids in `out`.
   void CollectComponents(std::span<const uint32_t> nodes,
                          std::vector<uint32_t>* out) const;
 
   std::vector<uint32_t> component_of_;  // dense node -> component
   size_t num_comps_ = 0;
-  // Condensation adjacency, CSR, shortcut edges included. Component ids are
-  // Tarjan reverse topological: every edge goes from a higher id to a lower
-  // one (shortcuts preserve this — they point at descendants).
+  // Condensation adjacency, CSR. Component ids are Tarjan reverse
+  // topological: every edge goes from a higher id to a lower one.
   std::vector<size_t> adj_offsets_;
   std::vector<uint32_t> adj_targets_;
-  size_t num_base_edges_ = 0;
-  size_t shortcut_count_ = 0;
   std::vector<CompLabel> labels_;
 
   // Scratch for the DFS fallback, sized num_comps_ and versioned so calls

@@ -109,7 +109,7 @@ enum class RoundKind : uint8_t {
   kBatchEval = 0,   // multiplexed localEval/localEvald/localEvalr batch
   kReachRows = 1,   // refresh: condensation rows (BoundaryReachIndex)
   kDistRows = 2,    // refresh: weighted boundary rows (BoundaryDistIndex)
-  kRpqRows = 3,     // refresh: product boundary rows (BoundaryRpqIndex)
+  kRpqRows = 3,     // refresh: product condensation rows (BoundaryRpqIndex)
   kReachSweep = 4,  // per-query endpoint sweeps, reach indexed path
   kDistSweep = 5,   // per-query endpoint sweeps, dist indexed path
   kRpqSweep = 6,    // per-query endpoint sweeps, rpq indexed path
@@ -145,7 +145,7 @@ struct RoundSpec {
 
 // Bumped whenever a message or reply format changes, so a stale worker fails
 // at Hello instead of decoding garbage.
-inline constexpr uint8_t kWireVersion = 2;
+inline constexpr uint8_t kWireVersion = 3;
 
 enum class WireMessage : uint8_t {
   kHello = 0,     // u8 version, varint site, fragment bytes -> ok reply

@@ -13,7 +13,7 @@ namespace pereach {
 /// bytes for cheap routing. Two queries with equal signatures have
 /// LANGUAGE-EQUAL automata (the key bytes fully determine the canonical
 /// automaton), so signature-keyed caches — the coordinator's standing
-/// product boundary graphs, the per-fragment product rows, the batch
+/// glued product graphs, the per-fragment product condensations, the batch
 /// broadcast's automaton table — may serve both from one entry without any
 /// correctness caveat. The converse is best-effort: equivalent regexes
 /// written differently may canonicalize apart, which costs a cache entry,

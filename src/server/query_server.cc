@@ -319,23 +319,25 @@ void QueryServer::DispatcherLoop(size_t class_idx) {
       result = engine.EvaluateBatch(batch);
     }
 
-    const auto release_charges = [&] {
-      // Release the in-flight and tenant-quota charges BEFORE resolving the
-      // promises: a client that saw its future resolve must not be able to
-      // observe its own query still charged (a resubmit racing the books
-      // would be spuriously quota-rejected, and a quiesced server could
-      // show a non-zero tenants-in-flight gauge). Drain() consequently
-      // returns when all answers are computed, possibly a few set_value
-      // calls early.
+    // Tenant-quota charges are released BEFORE the promises resolve: a
+    // client that saw its future resolve must not observe its own query
+    // still charged (a resubmit racing the books would be spuriously
+    // quota-rejected, and a quiesced server could show a non-zero
+    // tenants-in-flight gauge). The in-flight count Drain() waits on drops
+    // only AFTER every promise is set, so Drain() returns with every
+    // submitted query answered.
+    const auto release_quota = [&] {
+      if (options_.admission.tenant_quota == 0) return;
       MutexLock lock(&drain_mu_);
-      if (options_.admission.tenant_quota > 0) {
-        for (const PendingQuery& p : pending) {
-          const auto it = tenant_in_flight_.find(p.tenant);
-          if (it != tenant_in_flight_.end() && --it->second == 0) {
-            tenant_in_flight_.erase(it);
-          }
+      for (const PendingQuery& p : pending) {
+        const auto it = tenant_in_flight_.find(p.tenant);
+        if (it != tenant_in_flight_.end() && --it->second == 0) {
+          tenant_in_flight_.erase(it);
         }
       }
+    };
+    const auto release_in_flight = [&] {
+      MutexLock lock(&drain_mu_);
       in_flight_ -= pending.size();
       if (in_flight_ == 0) drained_.NotifyAll();
     };
@@ -347,10 +349,11 @@ void QueryServer::DispatcherLoop(size_t class_idx) {
       // released, nothing cached, no answered/latency books — and the
       // dispatcher keeps serving; the transport re-establishes lazily on
       // the next round.
-      release_charges();
+      release_quota();
       for (PendingQuery& p : pending) {
         Reject(&p.promise, RejectReason::kTransportError);
       }
+      release_in_flight();
       continue;
     }
 
@@ -377,7 +380,7 @@ void QueryServer::DispatcherLoop(size_t class_idx) {
         result.metrics.wall_ms);
     last_answered_epoch_[class_idx].store(epoch, std::memory_order_relaxed);
 
-    release_charges();
+    release_quota();
     for (size_t i = 0; i < pending.size(); ++i) {
       // Feed the answer cache before resolving the promise: a client
       // resubmitting the moment its future resolves must hit. Insert
@@ -395,6 +398,7 @@ void QueryServer::DispatcherLoop(size_t class_idx) {
       served.batch_size = pending.size();
       pending[i].promise.set_value(std::move(served));
     }
+    release_in_flight();
   }
 }
 

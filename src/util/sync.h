@@ -327,7 +327,7 @@ class CondVar {
 
 /// Debug-build assertion that a structure with EXTERNAL synchronization
 /// (the single-dispatcher discipline of the boundary indexes, DESIGN.md
-/// §10.5) really is entered by one thread at a time: each public entry
+/// §10.4) really is entered by one thread at a time: each public entry
 /// point holds a ScopedExclusiveUse for its duration, and overlapping
 /// holders abort deterministically instead of corrupting scratch. Reentrant
 /// holds from the SAME holder scope are not supported — take it once at

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -20,6 +21,7 @@
 #include "src/fragment/partitioner.h"
 #include "src/graph/generators.h"
 #include "src/net/cluster.h"
+#include "src/regex/canonical.h"
 #include "src/regex/regex.h"
 #include "tests/test_util.h"
 
@@ -42,9 +44,9 @@ BoundaryRows F0Rows() {
   BoundaryRows f0;  // comps: 0 = 20v, 1 = 30v, 2 = {11}, 3 = {10}
   f0.offsets = {0, 0, 0, 2, 3};
   f0.targets = {0, 1, 2};
-  f0.oset_globals = {20, 30};
+  f0.oset_keys = {20, 30};
   f0.oset_comp = {0, 1};
-  f0.in_globals = {10};
+  f0.in_keys = {10};
   f0.in_comp = {3};
   return f0;
 }
@@ -54,9 +56,9 @@ BoundaryRows F1Rows(bool forty_reaches_ten) {
   f1.offsets = {0, 0, 1, forty_reaches_ten ? size_t{2} : size_t{1}};
   f1.targets = {0};
   if (forty_reaches_ten) f1.targets.push_back(0);
-  f1.oset_globals = {10};
+  f1.oset_keys = {10};
   f1.oset_comp = {0};
-  f1.in_globals = {20, 30, 40};
+  f1.in_keys = {20, 30, 40};
   f1.in_comp = {1, 1, 2};
   return f1;
 }
@@ -70,9 +72,9 @@ TEST(BoundaryRowsTest, SerializeRoundTrips) {
     EXPECT_TRUE(dec.Done());
     EXPECT_EQ(back.offsets, rows.offsets);
     EXPECT_EQ(back.targets, rows.targets);
-    EXPECT_EQ(back.oset_globals, rows.oset_globals);
+    EXPECT_EQ(back.oset_keys, rows.oset_keys);
     EXPECT_EQ(back.oset_comp, rows.oset_comp);
-    EXPECT_EQ(back.in_globals, rows.in_globals);
+    EXPECT_EQ(back.in_keys, rows.in_keys);
     EXPECT_EQ(back.in_comp, rows.in_comp);
   }
 }
@@ -102,20 +104,43 @@ TEST(BoundaryReachIndexTest, HandBuiltGraphAnswersAndInvalidates) {
   EXPECT_FALSE(index.Reaches(n10, n40));
 
   // The word path agrees with the scalar path on every pair.
-  std::vector<BoundaryReachIndex::ReachQuestion> questions;
-  for (uint32_t u = 0; u < index.num_nodes(); ++u) {
-    for (uint32_t v = 0; v < index.num_nodes(); ++v) {
-      questions.push_back({u, v});
+  std::vector<uint32_t> ids(index.num_nodes());
+  for (uint32_t u = 0; u < ids.size(); ++u) ids[u] = u;
+  const std::span<const uint32_t> all(ids);
+  std::vector<WordQuestion> questions;
+  for (uint32_t u = 0; u < ids.size(); ++u) {
+    for (uint32_t v = 0; v < ids.size(); ++v) {
+      questions.push_back({all.subspan(u, 1), all.subspan(v, 1)});
     }
   }
   std::vector<uint8_t> answers;
   index.AnswerBatch(questions, &answers);
   ASSERT_EQ(answers.size(), questions.size());
   for (size_t i = 0; i < questions.size(); ++i) {
-    EXPECT_EQ(answers[i] != 0,
-              index.Reaches(questions[i].source, questions[i].target))
-        << questions[i].source << " -> " << questions[i].target;
+    const uint32_t u = questions[i].sources[0];
+    const uint32_t v = questions[i].targets[0];
+    EXPECT_EQ(answers[i] != 0, index.Reaches(u, v)) << u << " -> " << v;
   }
+  // A set question is true iff some source reaches some target; an empty
+  // side answers false.
+  const uint32_t from[] = {n40, n11};
+  const uint32_t to[] = {n10};
+  const std::vector<WordQuestion> sets = {
+      {from, to}, {std::span(from).first(1), to}, {{}, to}, {from, {}}};
+  index.AnswerBatch(sets, &answers);
+  EXPECT_EQ(answers, (std::vector<uint8_t>{1, 0, 0, 0}));
+
+  // A node's successors in its own fragment's condensation: glue edges are
+  // not listed.
+  std::vector<uint32_t> succ;
+  index.AppendSuccessors(n10, &succ);
+  EXPECT_EQ(succ, std::vector<uint32_t>{n11});
+  succ.clear();
+  index.AppendSuccessors(n11, &succ);
+  EXPECT_EQ(succ, (std::vector<uint32_t>{index.Node(0, 0), v30}));
+  succ.clear();
+  index.AppendSuccessors(index.Node(1, 0), &succ);  // 10v: a local sink
+  EXPECT_TRUE(succ.empty());
 
   // Invalidation marks exactly the touched fragment dirty; a clean Ensure
   // is a no-op, a post-refresh Ensure rebuilds once.
@@ -130,29 +155,46 @@ TEST(BoundaryReachIndexTest, HandBuiltGraphAnswersAndInvalidates) {
 }
 
 // An endpoint's whole sweep frame is a flag byte plus its component id(s):
-// at most 1 + 2 * 5 varint bytes for every (s, t), whatever the boundary.
+// at most 1 + 2 * 5 varint bytes for every (s, t), whatever the boundary —
+// for reach, and for rpq over random automata (comp(s, u_s), comp(t, u_t)).
 TEST(BoundarySweepFrameTest, AtMostElevenBytesForEveryPair) {
-  constexpr size_t kSites = 4;
+  constexpr size_t kSites = 4, kLabels = 3;
   Rng rng(1213);
   for (const auto& partitioner : AllPartitioners()) {
     SCOPED_TRACE(partitioner->name());
     const size_t n = 60;
-    const Graph g = ErdosRenyi(n, 4 * n, 1, &rng);
+    const Graph g = ErdosRenyi(n, 4 * n, kLabels, &rng);
     const Fragmentation frag = Fragmentation::Build(
         g, partitioner->Partition(g, kSites, &rng), kSites);
     FragmentContextCache contexts(&frag);
-    size_t max_bytes = 0;
+    std::vector<CanonicalAutomaton> automata;
+    automata.push_back(Canonicalize(QueryAutomaton::WildcardStar()));
+    for (int i = 0; i < 2; ++i) {
+      automata.push_back(Canonicalize(
+          QueryAutomaton::FromRegex(Regex::Random(4, kLabels, &rng)).value()));
+    }
+    size_t max_reach = 0;
+    size_t max_rpq = 0;
     for (NodeId s = 0; s < n; ++s) {
       for (NodeId t = 0; t < n; ++t) {
         for (const SiteId site : {frag.site_of(s), frag.site_of(t)}) {
+          const Fragment& f = frag.fragment(site);
+          FragmentContext& ctx = contexts.Get(site);
           Encoder body;
-          EncodeBoundarySweepFrame(frag.fragment(site), &contexts.Get(site),
-                                   s, t, &body);
-          max_bytes = std::max(max_bytes, body.size());
+          EncodeBoundarySweepFrame(f, &ctx, s, t, &body);
+          max_reach = std::max(max_reach, body.size());
+          for (const CanonicalAutomaton& a : automata) {
+            Encoder rpq;
+            EncodeRpqSweepFrame(
+                f, &ctx, ctx.rpq_product(f, a.signature.key, a.automaton), s,
+                t, &rpq);
+            max_rpq = std::max(max_rpq, rpq.size());
+          }
         }
       }
     }
-    EXPECT_LE(max_bytes, 11u);
+    EXPECT_LE(max_reach, 11u);
+    EXPECT_LE(max_rpq, 11u);
   }
 }
 

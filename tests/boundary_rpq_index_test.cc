@@ -1,9 +1,9 @@
-// Differential suite for the signature-cached product boundary index: the
-// rpq_path == kBoundaryIndex answer path must agree bit-for-bit with the
-// paper's BES assembling path (and with the centralized oracle) across
-// partitioners, equation forms, automata and interleaved AddEdges epochs —
-// plus direct semantics checks on a hand-built product graph, the
-// signature/LRU lifecycle, and the degenerate fragmentations.
+// Differential suite for the signature-cached index of glued product
+// condensations: the rpq_path == kBoundaryIndex answer path must agree
+// bit-for-bit with the paper's BES assembling path (and with the centralized
+// oracle) across partitioners, equation forms, automata and interleaved
+// AddEdges epochs — plus direct semantics checks on hand-built pair-keyed
+// rows, the signature/LRU lifecycle, and the degenerate fragmentations.
 
 #include "src/index/boundary_rpq_index.h"
 
@@ -15,6 +15,7 @@
 
 #include "src/baselines/centralized.h"
 #include "src/core/incremental.h"
+#include "src/core/local_eval.h"
 #include "src/engine/partial_eval_engine.h"
 #include "src/fragment/partitioner.h"
 #include "src/graph/generators.h"
@@ -34,101 +35,96 @@ using testing_util::OracleRegularReach;
 using testing_util::RandomPartition;
 using testing_util::RandomRpqBatch;
 
-constexpr uint8_t kFinal = static_cast<uint8_t>(QueryAutomaton::kFinal);
+constexpr uint32_t kFinal = QueryAutomaton::kFinal;
 
 // ---------------------------------------------------------------------------
-// ProductBoundaryRows wire format
+// Direct entry semantics on hand-built, pair-keyed product condensations
 
-TEST(ProductBoundaryRowsTest, SerializeRoundTrips) {
-  ProductBoundaryRows rows;
-  rows.oset_globals = {20, 30};
-  // Entry 0: states {u_t, 2}; entry 1: {u_t} — flattened table size 3.
-  rows.oset_masks = {(uint64_t{1} << kFinal) | (uint64_t{1} << 2),
-                     uint64_t{1} << kFinal};
-  rows.rep_pairs = {{10, 2}, {11, 3}};
-  rows.rows = {{0, 2}, {}};
-  rows.aliases = {{{12, 2}, 0}};
-
-  Encoder enc;
-  rows.Serialize(&enc);
-  Decoder dec(enc.buffer());
-  const ProductBoundaryRows back = ProductBoundaryRows::Deserialize(&dec);
-  EXPECT_TRUE(dec.Done());
-  EXPECT_EQ(back.oset_globals, rows.oset_globals);
-  EXPECT_EQ(back.oset_masks, rows.oset_masks);
-  EXPECT_EQ(back.rep_pairs, rows.rep_pairs);
-  EXPECT_EQ(back.rows, rows.rows);
-  EXPECT_EQ(back.aliases, rows.aliases);
-  EXPECT_EQ(back.TableSize(), 3u);
+// Automaton sketch: interior state 2 (label A); kStart -> 2 -> 2 -> kFinal,
+// so L = A+. F0 stores 10 -> 20 (20 virtual); F1 stores 20 -> 10 (10
+// virtual) and an isolated 40; every node is labeled A. Keys are
+// PackNodeState(node, state); u_s pairs are nobody's glue target, so they
+// are in neither table.
+BoundaryRows F0ProductRows() {
+  BoundaryRows f0;  // 0 = (20v,2), 1 = (20v,u_t), 2 = (10,u_t), 3 = (10,2),
+                    // 4 = (10,u_s)
+  f0.offsets = {0, 0, 0, 0, 2, 3};
+  f0.targets = {0, 1, 0};  // (10,2) -> (20v,2), (20v,u_t); (10,u_s) -> (20v,2)
+  f0.oset_keys = {PackNodeState(20, kFinal), PackNodeState(20, 2)};
+  f0.oset_comp = {1, 0};
+  f0.in_keys = {PackNodeState(10, kFinal), PackNodeState(10, 2)};
+  f0.in_comp = {2, 3};
+  return f0;
 }
 
-// ---------------------------------------------------------------------------
-// Direct entry semantics on a hand-built product boundary graph
+BoundaryRows F1ProductRows(bool forty_to_ten) {
+  BoundaryRows f1;  // 0 = (10v,2), 1 = (10v,u_t), 2 = (20,u_t), 3 = (20,2),
+                    // 4 = (20,u_s), 5 = (40,u_t), 6 = (40,2), 7 = (40,u_s)
+  f1.offsets = {0, 0, 0, 0, 2, 3, 3, 3, 3};
+  f1.targets = {0, 1, 0};
+  if (forty_to_ten) {  // an edge 40 -> 10: (40,2) and (40,u_s) like 20's
+    f1.offsets = {0, 0, 0, 0, 2, 3, 3, 5, 6};
+    f1.targets = {0, 1, 0, 0, 1, 0};
+  }
+  f1.oset_keys = {PackNodeState(10, kFinal), PackNodeState(10, 2)};
+  f1.oset_comp = {1, 0};
+  f1.in_keys = {PackNodeState(20, kFinal), PackNodeState(20, 2)};
+  f1.in_comp = {2, 3};
+  return f1;
+}
 
-// Automaton sketch: interior state 2 (label A); kStart -> 2 -> 2 -> kFinal.
-// Two fragments; the product cycle (10,2) -> (20,2) -> (10,2) plus accept
-// sinks (20,u_t), (30,u_t), and an alias (12,2) sharing 10's group.
 TEST(BoundaryRpqIndexTest, HandBuiltProductGraphAnswers) {
   BoundaryRpqIndex index(/*num_fragments=*/2, /*max_entries=*/4);
   AutomatonSignature sig{1234, "hand-built"};
-  BoundaryRpqIndex::Entry& entry = index.GetEntry(sig);
+  BoundaryReachIndex& entry = index.GetEntry(sig);
   EXPECT_EQ(index.misses(), 1u);
   EXPECT_EQ(entry.DirtySites().size(), 2u);
-
-  ProductBoundaryRows f0;
-  f0.oset_globals = {20, 30};
-  f0.oset_masks = {(uint64_t{1} << kFinal) | (uint64_t{1} << 2),
-                   uint64_t{1} << kFinal};
-  // Table f0: 0 = (20,u_t), 1 = (20,2), 2 = (30,u_t).
-  f0.rep_pairs = {{10, 2}};
-  f0.rows = {{1, 2}};  // (10,2) -> (20,2); (10,2) can accept at 30
-  f0.aliases = {{{12, 2}, 0}};
-  entry.SetFragmentRows(0, std::move(f0));
-
-  ProductBoundaryRows f1;
-  f1.oset_globals = {10, 12};
-  f1.oset_masks = {(uint64_t{1} << kFinal) | (uint64_t{1} << 2),
-                   (uint64_t{1} << kFinal) | (uint64_t{1} << 2)};
-  // Table f1: 0 = (10,u_t), 1 = (10,2), 2 = (12,u_t), 3 = (12,2).
-  f1.rep_pairs = {{20, 2}, {40, 2}};
-  f1.rows = {{1}, {}};  // (20,2) -> (10,2); (40,2) reaches nothing
-  entry.SetFragmentRows(1, std::move(f1));
-
+  entry.SetFragmentRows(0, F0ProductRows());
+  entry.SetFragmentRows(1, F1ProductRows(/*forty_to_ten=*/false));
   EXPECT_TRUE(entry.DirtySites().empty());
   entry.Ensure();
   EXPECT_EQ(entry.rebuild_count(), 1u);
-  EXPECT_EQ(entry.TableSize(0), 3u);
-  EXPECT_EQ(entry.TablePair(0, 1), (ProductPair{20, 2}));
+  EXPECT_EQ(entry.num_nodes(), 13u);  // 5 + 8 product components
 
-  const auto reaches = [&entry](ProductPair a, ProductPair b) {
-    const ProductPair src[] = {a}, tgt[] = {b};
-    return entry.ReachesAny(src, tgt);
+  // What the engine asks: does a condensation successor of (s, u_s) reach
+  // (t, u_t)? Components by the rows' comments.
+  const auto start = [&entry](SiteId site, uint32_t comp) {
+    return entry.Node(site, comp);
   };
-  EXPECT_TRUE(reaches({10, 2}, {10, 2}));  // reflexive
-  EXPECT_TRUE(reaches({10, 2}, {20, 2}));
-  EXPECT_TRUE(reaches({20, 2}, {10, 2}));          // cross-fragment cycle
-  EXPECT_TRUE(reaches({12, 2}, {20, 2}));          // via the alias edge
-  EXPECT_TRUE(reaches({10, 2}, {30, kFinal}));     // accept sink
-  EXPECT_FALSE(reaches({40, 2}, {10, 2}));
-  EXPECT_FALSE(reaches({10, 2}, {12, kFinal}));    // sink, never entered
-  // Same node, different state: distinct product nodes.
-  EXPECT_TRUE(entry.HasPair({20, kFinal}));
-  EXPECT_FALSE(entry.HasPair({40, kFinal}));
+  const auto rpq = [&entry](uint32_t s_node, uint32_t t_node) {
+    std::vector<uint32_t> succ;
+    entry.AppendSuccessors(s_node, &succ);
+    const std::vector<WordQuestion> q = {{succ, {&t_node, 1}}};
+    std::vector<uint8_t> answers;
+    entry.AnswerBatch(q, &answers);
+    return answers[0] != 0;
+  };
+  const uint32_t s10 = start(0, 4), s20 = start(1, 4), s40 = start(1, 7);
+  const uint32_t t10 = entry.Node(0, 2), t20 = entry.Node(1, 2);
+  const uint32_t t40 = entry.Node(1, 5);
+  // (10, u_s) steps to (20v, 2) only: A+ rejects the single edge 10 -> 20.
+  std::vector<uint32_t> succ;
+  entry.AppendSuccessors(s10, &succ);
+  EXPECT_EQ(succ, std::vector<uint32_t>{entry.Node(0, 0)});
+  EXPECT_TRUE(rpq(s10, t10));   // 10 -> 20 -> 10: a cycle through F1
+  EXPECT_TRUE(rpq(s10, t20));   // 10 -> 20 -> 10 -> 20: interior AA
+  EXPECT_TRUE(rpq(s20, t20));   // 20 -> 10 -> 20: a cycle through F0
+  EXPECT_FALSE(rpq(s40, t10));  // 40 has no edge
+  EXPECT_FALSE(rpq(s10, t40));  // accept sink never entered
+  // Same node, different state: distinct product nodes, glued per key.
+  EXPECT_TRUE(entry.Reaches(entry.Node(0, 3), entry.Node(1, 3)));
+  EXPECT_TRUE(entry.Reaches(entry.Node(1, 3), entry.Node(0, 3)));
+  EXPECT_FALSE(entry.Reaches(entry.Node(0, 2), entry.Node(0, 3)));
 
   // Invalidation dirties every entry of the index; a refresh + Ensure
   // rebuilds once.
   index.InvalidateFragment(1);
   EXPECT_EQ(entry.DirtySites(), std::vector<SiteId>{1});
-  ProductBoundaryRows f1b;
-  f1b.oset_globals = {10, 12};
-  f1b.oset_masks = {(uint64_t{1} << kFinal) | (uint64_t{1} << 2),
-                    (uint64_t{1} << kFinal) | (uint64_t{1} << 2)};
-  f1b.rep_pairs = {{20, 2}, {40, 2}};
-  f1b.rows = {{1}, {1}};  // (40,2) now reaches (10,2) too
-  entry.SetFragmentRows(1, std::move(f1b));
+  entry.SetFragmentRows(1, F1ProductRows(/*forty_to_ten=*/true));
   entry.Ensure();
   EXPECT_EQ(entry.rebuild_count(), 2u);
-  EXPECT_TRUE(reaches({40, 2}, {20, 2}));
+  EXPECT_TRUE(rpq(s40, t20));   // 40 -> 10 -> 20
+  EXPECT_FALSE(rpq(s40, t40));  // no cycle through 40
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +252,7 @@ TEST(BoundaryRpqDifferentialTest,
               << DiffContext(kSeed, partitioner->name(), form, epoch,
                              batch[q]);
           ASSERT_EQ(indexed.answers[q].reachable, expected)
-              << "product boundary index diverged: "
+              << "glued product index diverged: "
               << DiffContext(kSeed, partitioner->name(), form, epoch,
                              batch[q]);
         }
@@ -338,9 +334,9 @@ TEST(BoundaryRpqDifferentialTest, BoundaryEndpointAndPaperExample) {
   }
 }
 
-// Degenerate fragmentations: a single site (no boundary pairs at all, the
-// local short-circuit decides everything) and one node per site (every
-// node is boundary, the product boundary graph IS the global product).
+// Degenerate fragmentations: a single site (no boundary pairs at all, one
+// fragment's product condensation decides everything) and one node per site
+// (every node is boundary, the glued graph IS the global product).
 TEST(BoundaryRpqDifferentialTest, DegenerateFragmentCounts) {
   Rng rng(23);
   const size_t n = 24, kLabels = 2;

@@ -29,11 +29,11 @@
 #include "src/graph/graph.h"
 #include "src/index/boundary_dist_index.h"
 #include "src/index/boundary_index.h"
-#include "src/index/boundary_rpq_index.h"
 #include "src/net/cluster.h"
 #include "src/net/supervisor.h"
 #include "src/net/transport.h"
 #include "src/net/worker_loop.h"
+#include "src/regex/canonical.h"
 #include "src/regex/regex.h"
 #include "src/server/query_server.h"
 #include "src/util/serialization.h"
@@ -122,11 +122,10 @@ TEST(FailureTest, WeightedRowsDecoderRejectsAliasToUnknownRep) {
   EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
 }
 
-// The reach and rpq rows decoders check content the same way: an id past
-// the fragment's component count, a row index past the pair table, a
-// start-state bit in a compatibility mask, a state past the automaton cap,
-// or an alias naming no group fails a kStatus decode instead of
-// CHECK-aborting the coordinator.
+// The reach and rpq refresh rounds ship the same BoundaryRows, keyed by
+// node or by PackNodeState pair; its decoder checks content like the dist
+// rows decoder: a component id past the fragment's component count fails a
+// kStatus decode instead of CHECK-aborting the coordinator.
 
 // Each edit leaves a BoundaryRows serializable but breaks one invariant its
 // decoder checks: every component id is below num_components().
@@ -150,75 +149,29 @@ std::vector<ReachRowsEdit> ReachRowsEdits() {
 
 TEST(FailureTest, ReachRowsDecoderRejectsEveryBrokenInvariant) {
   const std::vector<ReachRowsEdit> edits = ReachRowsEdits();
-  for (size_t i = 0; i < edits.size(); ++i) {
-    SCOPED_TRACE("edit " + std::to_string(i));
-    BoundaryRows rows;
-    rows.offsets = {0, 0, 1, 2};  // 2 -> 1 -> 0
-    rows.targets = {0, 1};
-    rows.oset_globals = {3};
-    rows.oset_comp = {0};
-    rows.in_globals = {12, 14};
-    rows.in_comp = {2, 1};
-    edits[i](&rows);
-    Encoder enc;
-    rows.Serialize(&enc);
-    Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
-    (void)BoundaryRows::Deserialize(&dec);
-    EXPECT_FALSE(dec.ok());
-    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
-  }
-}
-
-// Each edit leaves a ProductBoundaryRows serializable but breaks one
-// invariant its decoder checks. Additive, so they apply to any rows.
-void StartStateInMask(ProductBoundaryRows* rows) {
-  rows->oset_globals.push_back(9);
-  rows->oset_masks.push_back(1);  // bit 0 is u_s
-}
-
-void RepStatePastCap(ProductBoundaryRows* rows) {
-  rows->rep_pairs.push_back({9, QueryAutomaton::kMaxStates});
-  rows->rows.emplace_back();
-}
-
-void ProductIndexPastTable(ProductBoundaryRows* rows) {
-  rows->rep_pairs.push_back({9, 2});
-  rows->rows.push_back({static_cast<uint32_t>(rows->TableSize())});
-}
-
-void AliasStatePastCap(ProductBoundaryRows* rows) {
-  rows->aliases.push_back({{9, QueryAutomaton::kMaxStates}, 0});
-}
-
-void AliasToNoGroup(ProductBoundaryRows* rows) {
-  rows->aliases.push_back(
-      {{9, 2}, static_cast<uint32_t>(rows->rep_pairs.size())});
-}
-
-using ProductRowsEdit = void (*)(ProductBoundaryRows*);
-
-std::vector<ProductRowsEdit> ProductRowsEdits() {
-  return {StartStateInMask, RepStatePastCap, ProductIndexPastTable,
-          AliasStatePastCap, AliasToNoGroup};
-}
-
-TEST(FailureTest, ProductRowsDecoderRejectsEveryBrokenInvariant) {
-  const std::vector<ProductRowsEdit> edits = ProductRowsEdits();
-  for (size_t i = 0; i < edits.size(); ++i) {
-    SCOPED_TRACE("edit " + std::to_string(i));
-    ProductBoundaryRows rows;
-    rows.oset_globals = {3, 9};
-    rows.oset_masks = {0b1100, 0b0110};  // table: (3,2) (3,3) (9,1) (9,2)
-    rows.rep_pairs = {{12, 2}};
-    rows.rows = {{0, 3}};
-    rows.aliases = {{{14, 2}, 0}};
-    edits[i](&rows);
-    Encoder enc;
-    rows.Serialize(&enc);
-    Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
-    (void)ProductBoundaryRows::Deserialize(&dec);
-    EXPECT_FALSE(dec.ok());
-    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+  for (const bool pair_keyed : {false, true}) {
+    // Node keys, or the same boundary as (node, state) product pairs.
+    const auto key = [pair_keyed](NodeId v, uint32_t state) {
+      return pair_keyed ? PackNodeState(v, state) : uint64_t{v};
+    };
+    for (size_t i = 0; i < edits.size(); ++i) {
+      SCOPED_TRACE(std::string(pair_keyed ? "pair" : "node") +
+                   "-keyed edit " + std::to_string(i));
+      BoundaryRows rows;
+      rows.offsets = {0, 0, 1, 2};  // 2 -> 1 -> 0
+      rows.targets = {0, 1};
+      rows.oset_keys = {key(3, QueryAutomaton::kFinal)};
+      rows.oset_comp = {0};
+      rows.in_keys = {key(12, 2), key(14, 2)};
+      rows.in_comp = {2, 1};
+      edits[i](&rows);
+      Encoder enc;
+      rows.Serialize(&enc);
+      Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+      (void)BoundaryRows::Deserialize(&dec);
+      EXPECT_FALSE(dec.ok());
+      EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+    }
   }
 }
 
@@ -752,8 +705,8 @@ PayloadEdit ForgeReachRows(void (*edit)(BoundaryRows*)) {
   };
 }
 
-/// A one-query reach sweep reply: the honest frame holding both endpoints,
-/// with its t-side component id replaced by `comp`.
+/// A one-query reach or rpq sweep reply: the honest frame holding both
+/// endpoints, with its t-side component id replaced by `comp`.
 PayloadEdit ReplaceReachTComponent(uint64_t comp) {
   return [comp](std::vector<uint8_t>* payload) {
     Decoder dec(*payload);
@@ -807,8 +760,8 @@ TEST(TransportFailureTest, ForgedReachRepliesRejectBatchesNotProcess) {
 
 /// Renames the first virtual node to Tom, who is no in-node anywhere.
 void NonBoundaryFirstOsetEntry(BoundaryRows* rows) {
-  ASSERT_FALSE(rows->oset_globals.empty());
-  rows->oset_globals.front() = 9;
+  ASSERT_FALSE(rows->oset_keys.empty());
+  rows->oset_keys.front() = 9;
 }
 
 // A forged oset table passes every decode check, so a glue edge may have
@@ -840,12 +793,13 @@ TEST(TransportFailureTest, ForgedReachOsetTableCannotAbort) {
   }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
 }
 
-/// An rpq refresh reply (one product-rows frame) with `edit` applied.
-PayloadEdit ForgeProductRows(ProductRowsEdit edit) {
+/// An rpq refresh reply (one product-condensation rows frame) with `edit`
+/// applied.
+PayloadEdit ForgeRpqRows(ReachRowsEdit edit) {
   return [edit](std::vector<uint8_t>* payload) {
     Decoder dec(*payload);
     Decoder frame = dec.GetFrame();
-    ProductBoundaryRows rows = ProductBoundaryRows::Deserialize(&frame);
+    BoundaryRows rows = BoundaryRows::Deserialize(&frame);
     edit(&rows);
     Encoder body;
     rows.Serialize(&body);
@@ -855,36 +809,10 @@ PayloadEdit ForgeProductRows(ProductRowsEdit edit) {
   };
 }
 
-/// A one-query rpq sweep reply: the honest frame (both lists present) with
-/// the pair (`node`, `state`) appended to its t-side list.
-PayloadEdit AppendProductEntry(uint64_t node, uint8_t state) {
-  return [node, state](std::vector<uint8_t>* payload) {
-    Decoder dec(*payload);
-    Decoder frame = dec.GetFrame();
-    Encoder body;
-    const uint8_t flags = frame.GetU8();
-    ASSERT_EQ(flags, kFrameHasS | kFrameHasT);
-    body.PutU8(flags);
-    const size_t num_s = frame.GetCount();
-    body.PutVarint(num_s);
-    for (size_t i = 0; i < num_s; ++i) body.PutVarint(frame.GetVarint());
-    const size_t num_t = frame.GetCount();
-    body.PutVarint(num_t + 1);
-    for (size_t i = 0; i < num_t; ++i) {
-      body.PutVarint(frame.GetVarint());
-      body.PutU8(frame.GetU8());
-    }
-    body.PutVarint(node);
-    body.PutU8(state);
-    Encoder reply;
-    reply.PutFrame(body.buffer());
-    *payload = reply.TakeBuffer();
-  };
-}
-
-// The rpq index path checks reply content too: each broken product-rows
-// invariant, and sweep t-side pairs the standing product graph does not
-// hold, reject their batch with Corruption; the same query is then served.
+// The rpq index path checks reply content like its reach twin: product
+// rows naming a component past the fragment's count, and sweep component
+// ids past the installed product count or no NodeId at all, each reject
+// their batch with Corruption; the same query is then served.
 TEST(TransportFailureTest, ForgedRpqRepliesRejectBatchesNotProcess) {
   const PaperExample ex = MakePaperExample();
   const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
@@ -894,13 +822,20 @@ TEST(TransportFailureTest, ForgedRpqRepliesRejectBatchesNotProcess) {
   ASSERT_EQ(frag.site_of(ex.pat), 2u);
   ASSERT_EQ(frag.site_of(ex.mark), 2u);
 
+  const CanonicalAutomaton canon = Canonicalize(*batch[0].automaton);
+  FragmentContext ctx;
+  const uint64_t installed =
+      ctx.rpq_product(frag.fragment(2), canon.signature.key, canon.automaton)
+          .cond.scc.num_components;
   constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
   std::vector<Forgery> forgeries;
-  for (ProductRowsEdit edit : ProductRowsEdits()) {
-    forgeries.push_back({RoundKind::kRpqRows, ForgeProductRows(edit)});
+  for (const ReachRowsEdit edit : ReachRowsEdits()) {
+    forgeries.push_back({RoundKind::kRpqRows, ForgeRpqRows(edit)});
   }
-  forgeries.push_back({RoundKind::kRpqSweep, AppendProductEntry(ex.tom, 2)});
-  forgeries.push_back({RoundKind::kRpqSweep, AppendProductEntry(kNoSuchId, 2)});
+  forgeries.push_back(
+      {RoundKind::kRpqSweep, ReplaceReachTComponent(installed)});
+  forgeries.push_back(
+      {RoundKind::kRpqSweep, ReplaceReachTComponent(kNoSuchId)});
   std::atomic<size_t> applied{0};
 
   FakeWorkers workers(3);

@@ -81,38 +81,18 @@ TEST(CrossClassPropertyTest, AllPathCombosMatchOracleAcrossMatrix) {
       // fed the same batches; the all-BES combination doubles as the
       // reference the indexed paths must match bit-for-bit (distance values
       // included). A small rpq LRU cap keeps evictions in the fuzzed space.
-      // Shortcut budgets cycle across the cube (0 disables; answers must
-      // not depend on the budget), and a ninth engine re-runs the
-      // all-indexed combination with the scalar coordinator path
-      // (batch_sweep off) as the bit-parallel word path's reference.
-      constexpr size_t kShortcutBudgets[] = {0, 8, 64};
       std::vector<std::unique_ptr<PartialEvalEngine>> engines;
       std::vector<std::string> engine_names;
-      for (size_t c = 0; c < combos.size(); ++c) {
+      for (const PathCombo& combo : combos) {
         PartialEvalOptions options;
         options.form = form;
-        options.reach_path = combos[c].reach;
-        options.dist_path = combos[c].dist;
-        options.rpq_path = combos[c].rpq;
+        options.reach_path = combo.reach;
+        options.dist_path = combo.dist;
+        options.rpq_path = combo.rpq;
         options.rpq_cache_entries = 4;
-        options.shortcut_budget = kShortcutBudgets[c % 3];
         engines.push_back(
             std::make_unique<PartialEvalEngine>(&cluster, options));
-        engine_names.push_back(combos[c].name + "/budget=" +
-                               std::to_string(options.shortcut_budget));
-      }
-      {
-        PartialEvalOptions options;
-        options.form = form;
-        options.reach_path = ReachAnswerPath::kBoundaryIndex;
-        options.dist_path = DistAnswerPath::kBoundaryIndex;
-        options.rpq_path = RpqAnswerPath::kBoundaryIndex;
-        options.rpq_cache_entries = 4;
-        options.batch_sweep = false;
-        options.shortcut_budget = 0;
-        engines.push_back(
-            std::make_unique<PartialEvalEngine>(&cluster, options));
-        engine_names.push_back("all-index/scalar-coordinator");
+        engine_names.push_back(combo.name);
       }
       index.SetUpdateListener([&engines](SiteId site) {
         for (auto& engine : engines) engine->InvalidateFragment(site);
@@ -173,9 +153,8 @@ TEST(CrossClassPropertyTest, AllPathCombosMatchOracleAcrossMatrix) {
       index.SetUpdateListener(nullptr);
 
       // The indexed paths actually ran through their standing structures
-      // (the last CUBE combo is all-indexed; the extra appended engine is
-      // its scalar-coordinator twin).
-      PartialEvalEngine& all_indexed = *engines[combos.size() - 1];
+      // (the last combo is all-indexed).
+      PartialEvalEngine& all_indexed = *engines.back();
       const BoundaryReachIndex* reach_idx = all_indexed.boundary_index();
       const BoundaryDistIndex* dist_idx = all_indexed.boundary_dist_index();
       const BoundaryRpqIndex* rpq_idx = all_indexed.boundary_rpq_index();
@@ -189,13 +168,8 @@ TEST(CrossClassPropertyTest, AllPathCombosMatchOracleAcrossMatrix) {
       EXPECT_GT(dist_idx->search_count(), 0u);
       EXPECT_GT(rpq_idx->num_entries(), 0u);
       EXPECT_LE(dist_idx->rebuild_count(), kEpochs);
-      // The default batch_sweep answered the reach questions in words; the
-      // appended scalar engine never entered the word path.
+      // The reach questions were answered in bit-parallel words.
       EXPECT_GT(reach_idx->batch_words(), 0u);
-      const BoundaryReachIndex* scalar_idx = engines.back()->boundary_index();
-      ASSERT_NE(scalar_idx, nullptr)
-          << "seed=" << kSeed << " " << partitioner->name();
-      EXPECT_EQ(scalar_idx->batch_words(), 0u);
     }
   }
 }

@@ -477,7 +477,7 @@ TEST(QueryServerTest, BoundaryDistServingMatchesOracleAcrossUpdatePhases) {
   EXPECT_EQ(server.epoch(), kPhases);
 }
 
-// The rpq dispatcher serves through the signature-cached product boundary
+// The rpq dispatcher serves through the signature-cached glued product
 // graphs (ServerOptions::eval pickup) while a writer applies edge updates:
 // answers must stay oracle-exact at every epoch, and repeated regexes must
 // actually hit the standing entries rather than rebuild per batch.

@@ -1,16 +1,14 @@
 // Differential suite for the bit-parallel batch path of the coordinator
-// reach core: ReachLabels::ReachesAnyWord / BoundaryReachIndex::AnswerBatch /
-// BoundaryRpqIndex::Entry::AnswerBatch versus the scalar lookups and the
-// centralized oracle, across random condensations x shortcut budgets
-// (including 0) and across update epochs at the engine level. Every
+// reach core: ReachLabels::ReachesAnyWord versus the scalar lookup and the
+// centralized oracle across random condensations and word shapes, and
+// BoundaryReachIndex::AnswerBatch (reach, and rpq over glued product graphs)
+// versus the oracle across update epochs at the engine level. Every
 // assertion carries the seed, so a failing cell reproduces from the log.
 
 #include "src/index/reach_labels.h"
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -86,32 +84,26 @@ struct WordStorage {
 
 // ---------------------------------------------------------------------------
 // ReachLabels level: ReachesAnyWord vs scalar ReachesAny vs brute closure,
-// across shortcut budgets (including 0) and word shapes.
+// across word shapes.
 
-TEST(ReachLabelsBatchTest, WordMatchesScalarAndOracleAcrossBudgets) {
+TEST(ReachLabelsBatchTest, WordMatchesScalarAndOracle) {
   constexpr uint64_t kSeed = 20260807;
-  constexpr size_t kBudgets[] = {0, 2, 64, 4096};
   Rng rng(kSeed);
   size_t total_sweeps = 0;
-  size_t total_shortcuts = 0;
 
   for (size_t trial = 0; trial < 12; ++trial) {
     const size_t n = 30 + rng.Uniform(90);
     const auto edges = RandomEdges(n, 3 * n, &rng);
     const auto oracle = Closure(n, edges);
 
-    // Scalar reference over the unaugmented condensation; one word instance
-    // per budget (shortcuts must never change an answer).
+    // Scalar reference and word instance over the same condensation; the
+    // word instance answers several words in a row (its scratch must reset
+    // between them).
     ReachLabels scalar;
-    scalar.Build(n, edges, /*shortcut_budget=*/0);
-
-    for (const size_t budget : kBudgets) {
-      ReachLabels labels;
-      labels.Build(n, edges, budget);
-      total_shortcuts += labels.shortcut_count();
-      ASSERT_EQ(labels.num_edges(), scalar.num_edges())
-          << "num_edges must not count shortcuts, seed=" << kSeed;
-
+    scalar.Build(n, edges);
+    ReachLabels labels;
+    labels.Build(n, edges);
+    for (size_t round = 0; round < 4; ++round) {
       // Random word widths: 1 lane, full 64, and odd sizes in between.
       for (const size_t lanes : {size_t{1}, size_t{64},
                                  size_t{1 + rng.Uniform(63)}}) {
@@ -132,19 +124,17 @@ TEST(ReachLabelsBatchTest, WordMatchesScalarAndOracleAcrossBudgets) {
           const bool got = (result >> li) & 1;
           ASSERT_EQ(got, expected)
               << "word vs oracle: seed=" << kSeed << " trial=" << trial
-              << " budget=" << budget << " lane=" << li << "/" << lanes;
+              << " round=" << round << " lane=" << li << "/" << lanes;
           ASSERT_EQ(got, scalar.ReachesAny(word.src[li], word.tgt[li]))
               << "word vs scalar: seed=" << kSeed << " trial=" << trial
-              << " budget=" << budget << " lane=" << li << "/" << lanes;
+              << " round=" << round << " lane=" << li << "/" << lanes;
         }
       }
-      total_sweeps += labels.sweep_count();
     }
+    total_sweeps += labels.sweep_count();
   }
-  // The fuzzed space actually exercised the sweep engine and, for the
-  // non-zero budgets, added shortcut edges somewhere.
+  // The fuzzed space actually exercised the sweep engine.
   EXPECT_GT(total_sweeps, 0u) << "seed=" << kSeed;
-  EXPECT_GT(total_shortcuts, 0u) << "seed=" << kSeed;
 }
 
 TEST(ReachLabelsBatchTest, AllLabelDecidedWordSkipsTheSweep) {
@@ -153,7 +143,7 @@ TEST(ReachLabelsBatchTest, AllLabelDecidedWordSkipsTheSweep) {
   const size_t n = 60;
   const auto edges = RandomEdges(n, 3 * n, &rng);
   ReachLabels labels;
-  labels.Build(n, edges, /*shortcut_budget=*/64);
+  labels.Build(n, edges);
 
   // Reflexive lanes (sources == targets) are decided by the cu == cv label
   // verdict, so a full word of them must not enter the sweep.
@@ -182,11 +172,9 @@ TEST(ReachLabelsBatchTest, AllFallbackWordSweepsEveryLane) {
     const auto oracle = Closure(n, edges);
 
     // Harvest label-UNDECIDED single pairs with a scalar probe: a pair is
-    // undecided exactly when the scalar lookup takes the DFS fallback. The
-    // probe uses the SAME budget as the word instance below — shortcut
-    // edges reshape the labels, so undecided-ness is budget-specific.
+    // undecided exactly when the scalar lookup takes the DFS fallback.
     ReachLabels probe;
-    probe.Build(n, edges, /*shortcut_budget=*/64);
+    probe.Build(n, edges);
     std::vector<std::pair<uint32_t, uint32_t>> hard;
     for (size_t attempt = 0; attempt < 4000 && hard.size() < 64; ++attempt) {
       const uint32_t u = static_cast<uint32_t>(rng.Uniform(n));
@@ -202,7 +190,7 @@ TEST(ReachLabelsBatchTest, AllFallbackWordSweepsEveryLane) {
     // A word made entirely of undecided pairs: every lane must be answered
     // by the sweep (sweep_lanes grows by the lane count), and exactly.
     ReachLabels labels;
-    labels.Build(n, edges, /*shortcut_budget=*/64);
+    labels.Build(n, edges);
     WordStorage word;
     for (const auto& [u, v] : hard) word.AddLane({u}, {v});
     const size_t lanes_before = labels.sweep_lanes();
@@ -224,7 +212,7 @@ TEST(ReachLabelsBatchTest, AllFallbackWordSweepsEveryLane) {
 
 TEST(ReachLabelsBatchTest, EmptySidesAnswerFalseLikeScalar) {
   ReachLabels labels;
-  labels.Build(4, {{3, 2}, {2, 1}, {1, 0}}, /*shortcut_budget=*/8);
+  labels.Build(4, {{3, 2}, {2, 1}, {1, 0}});
   WordStorage word;
   word.AddLane({}, {0});       // no sources
   word.AddLane({3}, {});       // no targets
@@ -233,9 +221,9 @@ TEST(ReachLabelsBatchTest, EmptySidesAnswerFalseLikeScalar) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine level: whole reach batches through PartialEvalEngine with the
-// bit-parallel sweep ON vs OFF vs the centralized oracle, across update
-// epochs (the standing index rebuilds with its shortcut budget each epoch).
+// Engine level: whole reach batches through the indexed PartialEvalEngine vs
+// the centralized oracle, across update epochs (the standing index rebuilds
+// each epoch) and across the 64-lane word boundary.
 
 TEST(ReachLabelsBatchTest, EngineReachBatchesMatchAcrossEpochs) {
   constexpr uint64_t kSeed = 555007;
@@ -247,71 +235,41 @@ TEST(ReachLabelsBatchTest, EngineReachBatchesMatchAcrossEpochs) {
   IncrementalReachIndex index(g, part, kSites);
   EdgeWorld world = EdgeWorld::FromGraph(g);
   Cluster cluster(&index.fragmentation(), NetworkModel{});
-
-  // sweep-on engines across shortcut budgets (including 0) plus the scalar
-  // reference engine (batch_sweep off).
-  struct EngineUnderTest {
-    std::string name;
-    std::unique_ptr<PartialEvalEngine> engine;
-  };
-  std::vector<EngineUnderTest> engines;
-  for (const size_t budget : {size_t{0}, size_t{8}, size_t{64}}) {
-    PartialEvalOptions options;
-    options.reach_path = ReachAnswerPath::kBoundaryIndex;
-    options.batch_sweep = true;
-    options.shortcut_budget = budget;
-    engines.push_back({"sweep/budget=" + std::to_string(budget),
-                       std::make_unique<PartialEvalEngine>(&cluster, options)});
-  }
-  {
-    PartialEvalOptions options;
-    options.reach_path = ReachAnswerPath::kBoundaryIndex;
-    options.batch_sweep = false;
-    options.shortcut_budget = 0;
-    engines.push_back(
-        {"scalar", std::make_unique<PartialEvalEngine>(&cluster, options)});
-  }
-  index.SetUpdateListener([&engines](SiteId site) {
-    for (auto& e : engines) e.engine->InvalidateFragment(site);
-  });
+  PartialEvalOptions options;
+  options.reach_path = ReachAnswerPath::kBoundaryIndex;
+  PartialEvalEngine engine(&cluster, options);
+  index.SetUpdateListener(
+      [&engine](SiteId site) { engine.InvalidateFragment(site); });
 
   for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
     const Graph oracle = world.Build();
     // Batch sizes that cross the 64-lane word boundary: 1, 64, 130.
     for (const size_t batch_size : {size_t{1}, size_t{64}, size_t{130}}) {
       const std::vector<Query> batch = RandomReachBatch(n, batch_size, &rng);
-      for (auto& e : engines) {
-        const BatchAnswer result = e.engine->EvaluateBatch(batch);
-        for (size_t q = 0; q < batch.size(); ++q) {
-          ASSERT_EQ(result.answers[q].reachable,
-                    OracleReachable(oracle, batch[q]))
-              << e.name << " vs oracle: seed=" << kSeed << " epoch=" << epoch
-              << " batch_size=" << batch_size << " q=" << q << " ("
-              << batch[q].source << " -> " << batch[q].target << ")";
-        }
+      const BatchAnswer result = engine.EvaluateBatch(batch);
+      for (size_t q = 0; q < batch.size(); ++q) {
+        ASSERT_EQ(result.answers[q].reachable,
+                  OracleReachable(oracle, batch[q]))
+            << "seed=" << kSeed << " epoch=" << epoch
+            << " batch_size=" << batch_size << " q=" << q << " ("
+            << batch[q].source << " -> " << batch[q].target << ")";
       }
     }
     index.AddEdges(world.AddRandomEdges(4, &rng));
   }
   index.SetUpdateListener(nullptr);
 
-  // The sweep engines really used the word path; the scalar engine never did.
-  for (const auto& e : engines) {
-    const BoundaryReachIndex* idx = e.engine->boundary_index();
-    ASSERT_NE(idx, nullptr) << e.name;
-    if (e.name == "scalar") {
-      EXPECT_EQ(idx->batch_words(), 0u) << e.name;
-    } else {
-      EXPECT_GT(idx->batch_words(), 0u) << e.name;
-    }
-  }
+  const BoundaryReachIndex* idx = engine.boundary_index();
+  ASSERT_NE(idx, nullptr);
+  EXPECT_GT(idx->batch_words(), 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Engine level, rpq: batches over repeated automata through the product
-// boundary graphs, sweep ON vs OFF vs the centralized oracle.
+// Engine level, rpq: batches over repeated automata through the glued
+// product graphs (set questions: the successors of (s, u_s) against
+// (t, u_t)) vs the centralized oracle, across update epochs.
 
-TEST(ReachLabelsBatchTest, EngineRpqBatchesMatchSweepOnOff) {
+TEST(ReachLabelsBatchTest, EngineRpqBatchesMatchAcrossEpochs) {
   constexpr uint64_t kSeed = 909090;
   constexpr size_t kSites = 3, kEpochs = 2, kNumLabels = 3;
   Rng rng(kSeed);
@@ -328,35 +286,22 @@ TEST(ReachLabelsBatchTest, EngineRpqBatchesMatchSweepOnOff) {
   EdgeWorld world = EdgeWorld::FromGraph(g);
   Cluster cluster(&index.fragmentation(), NetworkModel{});
 
-  PartialEvalOptions sweep_on;
-  sweep_on.rpq_path = RpqAnswerPath::kBoundaryIndex;
-  sweep_on.batch_sweep = true;
-  sweep_on.shortcut_budget = 32;
-  sweep_on.rpq_cache_entries = 4;
-  PartialEvalOptions sweep_off = sweep_on;
-  sweep_off.batch_sweep = false;
-  sweep_off.shortcut_budget = 0;
-  PartialEvalEngine on(&cluster, sweep_on);
-  PartialEvalEngine off(&cluster, sweep_off);
-  index.SetUpdateListener([&](SiteId site) {
-    on.InvalidateFragment(site);
-    off.InvalidateFragment(site);
-  });
+  PartialEvalOptions options;
+  options.rpq_path = RpqAnswerPath::kBoundaryIndex;
+  options.rpq_cache_entries = 4;
+  PartialEvalEngine engine(&cluster, options);
+  index.SetUpdateListener(
+      [&engine](SiteId site) { engine.InvalidateFragment(site); });
 
   for (size_t epoch = 0; epoch < kEpochs; ++epoch) {
     const Graph oracle = world.Build();
     const std::vector<Query> batch =
         RandomRpqBatch(n, /*count=*/70, /*num_distinct=*/3, kNumLabels, &rng);
-    const BatchAnswer r_on = on.EvaluateBatch(batch);
-    const BatchAnswer r_off = off.EvaluateBatch(batch);
+    const BatchAnswer result = engine.EvaluateBatch(batch);
     for (size_t q = 0; q < batch.size(); ++q) {
-      const bool expected = OracleReachable(oracle, batch[q]);
-      ASSERT_EQ(r_on.answers[q].reachable, expected)
-          << "sweep-on vs oracle: seed=" << kSeed << " epoch=" << epoch
-          << " q=" << q;
-      ASSERT_EQ(r_off.answers[q].reachable, expected)
-          << "sweep-off vs oracle: seed=" << kSeed << " epoch=" << epoch
-          << " q=" << q;
+      ASSERT_EQ(result.answers[q].reachable,
+                OracleReachable(oracle, batch[q]))
+          << "seed=" << kSeed << " epoch=" << epoch << " q=" << q;
     }
     index.AddEdges(world.AddRandomEdges(3, &rng));
   }
