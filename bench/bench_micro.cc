@@ -279,7 +279,7 @@ struct SweepBenchSetup {
 };
 
 /// A random condensation-shaped workload: n-node random digraph, 64 random
-/// single-pair questions per word (the shape RunBoundaryReach produces).
+/// single-pair questions per word (the shape of an indexed reach batch).
 /// Fills in place — ReachLabels is deliberately non-copyable (threading
 /// contract), so the setup cannot be returned by value.
 void MakeSweepSetup(size_t n, uint64_t seed, SweepBenchSetup* setup) {

@@ -14,6 +14,9 @@ Checks, in order:
   5. Every LockRank enumerator in src/util/sync.h appears in the
      DESIGN.md §12 rank table with its exact numeric value — an
      undocumented (or misnumbered) mutex rank fails CI.
+  6. Every RoundKind enumerator in src/net/transport.h appears in the
+     DESIGN.md §13.1 round table with its exact wire value — a round kind
+     the wire-format section does not describe fails CI.
 
 Run from the repo root: python3 scripts/check_docs.py
 """
@@ -180,17 +183,45 @@ def check_lock_table() -> None:
                  f"than its enumerator value {value}")
 
 
+def check_round_table() -> None:
+    """Every RoundKind enumerator must appear in the DESIGN.md §13.1 table
+    with its exact wire value (a worker decodes the kind byte, so the prose
+    and the enum must agree on every value)."""
+    transport = (ROOT / "src/net/transport.h").read_text()
+    enum = re.search(r"enum class RoundKind[^{]*\{(.*?)\n\};", transport, re.S)
+    if not enum:
+        fail("src/net/transport.h: RoundKind enum not found (parser drift?)")
+        return
+    design = (ROOT / "DESIGN.md").read_text()
+    start = design.find("### 13.1")
+    end = design.find("### 13.2", start)
+    if start < 0 or end < 0:
+        fail("DESIGN.md: §13.1 (a round on the wire) heading is missing")
+        return
+    sec = design[start:end]
+    kinds = re.findall(r"\b(k\w+)\s*=\s*(\d+)", enum.group(1))
+    if not kinds:
+        fail("src/net/transport.h: no RoundKind enumerators parsed (drift?)")
+    for name, value in kinds:
+        if f"`{name}`" not in sec:
+            fail(f"DESIGN.md §13.1: RoundKind::{name} is undocumented")
+        elif not re.search(r"\|\s*%s\s*\|\s*`%s`" % (value, name), sec):
+            fail(f"DESIGN.md §13.1: `{name}` documented with a value other "
+                 f"than its enumerator value {value}")
+
+
 def main() -> int:
     check_coverage()
     check_links()
     check_lock_table()
+    check_round_table()
     if errors:
         for e in errors:
             print(f"check_docs: {e}", file=sys.stderr)
         print(f"check_docs: {len(errors)} problem(s)", file=sys.stderr)
         return 1
-    print("check_docs: options, metrics, bench flags and links all "
-          "documented")
+    print("check_docs: options, metrics, bench flags, links, lock ranks and "
+          "round kinds all documented")
     return 0
 
 

@@ -9,6 +9,7 @@
 #include "src/index/boundary_dist_index.h"
 #include "src/index/boundary_index.h"
 #include "src/index/boundary_rpq_index.h"
+#include "src/regex/canonical.h"
 
 namespace pereach {
 
@@ -74,6 +75,26 @@ struct PartialEvalOptions {
   /// condensations.
   size_t rpq_cache_entries = 8;
 };
+
+/// The broadcast of a batch round (kBatchEval) and of an indexed sweep round
+/// (kIndexSweep), and the automaton table it carries (DESIGN.md §2.1).
+struct BatchBroadcast {
+  /// varint n · { Query::SerializeHeader · [varint automaton ref] }ⁿ
+  ///          · [varint m · { QueryAutomaton::Serialize }ᵐ]
+  /// The table is written only when a query is regular, so a reach or dist
+  /// batch is `varint n · { Query::Serialize }ⁿ`.
+  std::vector<uint8_t> bytes;
+  /// The batch's distinct canonical automata, in table order: regular
+  /// queries with language-equal automata share one entry.
+  std::vector<CanonicalAutomaton> automata;
+  /// Per query of the batch, its automaton's table index (0 unless rpq).
+  std::vector<uint32_t> automaton_ref;
+};
+
+/// Encodes the queries `wire` (indices into `queries`) as one batch
+/// broadcast. Sites decode it with one decoder (site_runtime.cc).
+BatchBroadcast EncodeBatchBroadcast(std::span<const Query> queries,
+                                    const std::vector<size_t>& wire);
 
 /// The paper's disReach / disDist / disRPQ unified behind the QueryEngine
 /// interface, with two amortization levers on top of the per-query
@@ -146,31 +167,16 @@ class PartialEvalEngine : public QueryEngine {
                   std::vector<QueryAnswer>* answers) override;
 
  private:
-  /// Answers the reach queries `wire` (indices into `queries`) through the
-  /// boundary index: one refresh round for dirty fragments if needed, one
-  /// sweep round over the endpoint fragments, label lookups to assemble.
-  /// Like RunBatch, a non-OK return is a serving-transport failure.
-  Status RunBoundaryReach(std::span<const Query> queries,
-                          const std::vector<size_t>& wire,
-                          std::vector<QueryAnswer>* answers);
-
-  /// Answers the dist queries `wire` (indices into `queries`) through the
-  /// weighted boundary index: one refresh round for dirty fragments if
-  /// needed, one sweep round over the endpoint fragments, one bidirectional
-  /// Dijkstra per query over the standing graph.
-  Status RunBoundaryDist(std::span<const Query> queries,
-                         const std::vector<size_t>& wire,
-                         std::vector<QueryAnswer>* answers);
-
-  /// Answers the rpq queries `wire` (indices into `queries`) through the
-  /// signature-keyed index of glued product graphs: one combined refresh
-  /// round for every (dirty fragment, automaton) combination of the batch,
-  /// one sweep round over the endpoint fragments (the batch's distinct
-  /// automata cross the wire once each), label lookups over the standing
-  /// product graphs to assemble.
-  Status RunBoundaryRpq(std::span<const Query> queries,
-                        const std::vector<size_t>& wire,
-                        std::vector<QueryAnswer>* answers);
+  /// Answers the queries `wire` (indices into `queries`) whose class runs
+  /// under a boundary index — reach, dist and rpq alike — in at most two
+  /// rounds: one refresh round over every dirty (index, fragment) pair of
+  /// the batch, if any, then one sweep round over the endpoint fragments.
+  /// Reach and rpq assemble with label lookups over their glued graphs,
+  /// dist with one bidirectional Dijkstra per query over the weighted
+  /// graph. Like RunBatch, a non-OK return is a serving-transport failure.
+  Status RunIndexed(std::span<const Query> queries,
+                    const std::vector<size_t>& wire,
+                    std::vector<QueryAnswer>* answers);
 
   PartialEvalOptions options_;
   FragmentContextCache contexts_;

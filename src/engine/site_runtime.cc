@@ -1,13 +1,13 @@
 #include "src/engine/site_runtime.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
 
 #include "src/engine/query_engine.h"
 #include "src/index/boundary_dist_index.h"
 #include "src/index/boundary_index.h"
-#include "src/regex/canonical.h"
 
 namespace pereach {
 
@@ -321,8 +321,8 @@ std::vector<uint8_t> EncodeDistRows(const Fragment& f, FragmentContext* ctx) {
   return reply.TakeBuffer();
 }
 
-/// A query as decoded from a round broadcast — Query minus the inline
-/// automaton (rpq queries reference the broadcast's canonical table).
+/// A query as decoded from a batch broadcast — Query minus the inline
+/// automaton (rpq queries reference the broadcast's automaton table).
 struct WireQuery {
   QueryKind kind = QueryKind::kReach;
   NodeId source = 0;
@@ -331,49 +331,87 @@ struct WireQuery {
   uint32_t automaton_ref = 0;
 };
 
+/// An automaton as decoded from a round broadcast, with the bytes it came
+/// in. The coordinator ships canonical automata, whose Serialize bytes are
+/// their signature key, so those bytes key the fragment's product cache.
+struct WireAutomaton {
+  std::string key;
+  QueryAutomaton automaton;
+};
+
+/// Reads one automaton off `dec`, a decoder over `broadcast`; nullopt once
+/// the decoder failed.
+std::optional<WireAutomaton> GetAutomaton(
+    const std::vector<uint8_t>& broadcast, Decoder* dec) {
+  const size_t start = dec->position();
+  QueryAutomaton a = QueryAutomaton::Deserialize(dec);
+  if (!dec->ok()) return std::nullopt;
+  return WireAutomaton{
+      std::string(broadcast.begin() + static_cast<ptrdiff_t>(start),
+                  broadcast.begin() + static_cast<ptrdiff_t>(dec->position())),
+      std::move(a)};
+}
+
+/// Decodes a batch broadcast (EncodeBatchBroadcast, DESIGN.md §2.1): the
+/// queries, then the automaton table iff a query is regular. Every kind and
+/// table reference is checked, and nothing may trail.
+Status DecodeBatch(const std::vector<uint8_t>& broadcast,
+                   std::vector<WireQuery>* queries,
+                   std::vector<WireAutomaton>* automata) {
+  Decoder dec(broadcast, Decoder::OnError::kStatus);
+  queries->resize(dec.GetCount());
+  bool any_rpq = false;
+  for (WireQuery& q : *queries) {
+    const uint8_t kind = dec.GetU8();
+    if (!dec.ok()) return dec.status();
+    if (kind > static_cast<uint8_t>(QueryKind::kRpq)) {
+      return Status::Corruption("batch broadcast: bad query kind");
+    }
+    q.kind = static_cast<QueryKind>(kind);
+    q.source = static_cast<NodeId>(dec.GetVarint());
+    q.target = static_cast<NodeId>(dec.GetVarint());
+    if (q.kind == QueryKind::kDist) {
+      q.bound = static_cast<uint32_t>(dec.GetVarint());
+    }
+    if (q.kind == QueryKind::kRpq) {
+      q.automaton_ref = static_cast<uint32_t>(dec.GetVarint());
+      any_rpq = true;
+    }
+  }
+  if (any_rpq) {
+    for (size_t n = dec.GetCount(); n > 0; --n) {
+      std::optional<WireAutomaton> a = GetAutomaton(broadcast, &dec);
+      if (!a) return dec.status();
+      automata->push_back(std::move(*a));
+    }
+  }
+  if (!dec.Done()) {
+    return dec.ok() ? Status::Corruption("batch broadcast: trailing bytes")
+                    : dec.status();
+  }
+  for (const WireQuery& q : *queries) {
+    if (q.kind == QueryKind::kRpq && q.automaton_ref >= automata->size()) {
+      return Status::Corruption("batch broadcast: automaton ref out of range");
+    }
+  }
+  return Status::OK();
+}
+
 /// The multiplexed all-sites batch: localEval for every query of the
 /// broadcast, partial answers multiplexed into one reply.
-Result<std::vector<uint8_t>> RunBatchEval(const Fragment& f,
-                                          FragmentContext* ctx, uint8_t aux,
-                                          Decoder* dec) {
+Result<std::vector<uint8_t>> RunBatchEval(
+    const Fragment& f, FragmentContext* ctx, uint8_t aux,
+    const std::vector<uint8_t>& broadcast) {
   if (aux > static_cast<uint8_t>(EquationForm::kDag)) {
     return Status::Corruption("batch round: bad equation form");
   }
   const EquationForm form = static_cast<EquationForm>(aux);
-  std::vector<WireQuery> queries(dec->GetCount());
-  for (WireQuery& q : queries) {
-    const uint8_t kind = dec->GetU8();
-    if (!dec->ok()) return dec->status();
-    if (kind > static_cast<uint8_t>(QueryKind::kRpq)) {
-      return Status::Corruption("batch round: bad query kind");
-    }
-    q.kind = static_cast<QueryKind>(kind);
-    q.source = static_cast<NodeId>(dec->GetVarint());
-    q.target = static_cast<NodeId>(dec->GetVarint());
-    if (q.kind == QueryKind::kDist) {
-      q.bound = static_cast<uint32_t>(dec->GetVarint());
-    }
-    if (q.kind == QueryKind::kRpq) {
-      q.automaton_ref = static_cast<uint32_t>(dec->GetVarint());
-    }
-  }
-  if (!dec->ok()) return dec->status();
-  const size_t num_automata = dec->GetCount();
-  if (!dec->ok()) return dec->status();
-  std::vector<QueryAutomaton> automata;
-  automata.reserve(num_automata);
-  for (size_t i = 0; i < num_automata; ++i) {
-    automata.push_back(QueryAutomaton::Deserialize(dec));
-    if (!dec->ok()) return dec->status();
-  }
-  if (!dec->Done()) return Status::Corruption("batch round: trailing bytes");
+  std::vector<WireQuery> queries;
+  std::vector<WireAutomaton> automata;
+  Status decoded = DecodeBatch(broadcast, &queries, &automata);
+  if (!decoded.ok()) return decoded;
   bool any_reach = false;
-  for (const WireQuery& q : queries) {
-    if (q.kind == QueryKind::kRpq && q.automaton_ref >= automata.size()) {
-      return Status::Corruption("batch round: automaton ref out of range");
-    }
-    any_reach |= q.kind == QueryKind::kReach;
-  }
+  for (const WireQuery& q : queries) any_reach |= q.kind == QueryKind::kReach;
 
   Encoder reply;
   reply.PutVarint(f.site());
@@ -400,8 +438,8 @@ Result<std::vector<uint8_t>> RunBatchEval(const Fragment& f,
         LocalEvalDist(f, q.source, q.target, q.bound).Serialize(&body);
         break;
       case QueryKind::kRpq:
-        LocalEvalRegular(f, automata[q.automaton_ref], q.source, q.target,
-                         form, &ctx->label_index(f))
+        LocalEvalRegular(f, automata[q.automaton_ref].automaton, q.source,
+                         q.target, form, &ctx->label_index(f))
             .Serialize(&body);
         break;
     }
@@ -410,110 +448,89 @@ Result<std::vector<uint8_t>> RunBatchEval(const Fragment& f,
   return reply.TakeBuffer();
 }
 
-/// The reach/dist endpoint-sweep rounds: one flag-byte-or-frame per query.
-Result<std::vector<uint8_t>> RunEndpointSweep(const Fragment& f,
-                                              FragmentContext* ctx,
-                                              RoundKind kind, Decoder* dec) {
-  const QueryKind expect = kind == RoundKind::kReachSweep ? QueryKind::kReach
-                                                          : QueryKind::kDist;
-  std::vector<WireQuery> queries(dec->GetCount());
-  for (WireQuery& q : queries) {
-    const uint8_t k = dec->GetU8();
-    if (!dec->ok()) return dec->status();
-    if (k != static_cast<uint8_t>(expect)) {
-      return Status::Corruption("sweep round: unexpected query kind");
+/// The refresh round: one rows frame per index whose site list names this
+/// fragment, in broadcast order. The broadcast is
+///   varint n · { u8 index kind · [automaton] · varint k · site×k }ⁿ
+/// where the kind is the QueryKind the index answers and an rpq index
+/// carries its canonical automaton.
+Result<std::vector<uint8_t>> RunIndexRows(
+    const Fragment& f, FragmentContext* ctx,
+    const std::vector<uint8_t>& broadcast) {
+  Decoder dec(broadcast, Decoder::OnError::kStatus);
+  std::vector<std::pair<QueryKind, std::optional<WireAutomaton>>> mine;
+  for (size_t n = dec.GetCount(); n > 0; --n) {
+    const uint8_t kind = dec.GetU8();
+    if (!dec.ok()) return dec.status();
+    if (kind > static_cast<uint8_t>(QueryKind::kRpq)) {
+      return Status::Corruption("rows round: bad index kind");
     }
-    q.kind = expect;
-    q.source = static_cast<NodeId>(dec->GetVarint());
-    q.target = static_cast<NodeId>(dec->GetVarint());
-    if (expect == QueryKind::kDist) {
-      q.bound = static_cast<uint32_t>(dec->GetVarint());
+    std::optional<WireAutomaton> automaton;
+    if (kind == static_cast<uint8_t>(QueryKind::kRpq)) {
+      automaton = GetAutomaton(broadcast, &dec);
+      if (!automaton) return dec.status();
     }
-  }
-  if (!dec->Done()) return Status::Corruption("sweep round: trailing bytes");
-
-  Encoder reply;
-  for (const WireQuery& q : queries) {
-    Encoder body;
-    if (expect == QueryKind::kReach) {
-      EncodeBoundarySweepFrame(f, ctx, q.source, q.target, &body);
-    } else {
-      EncodeDistSweepFrame(f, ctx, q.source, q.target, q.bound, &body);
-    }
-    reply.PutFrame(body.buffer());
-  }
-  return reply.TakeBuffer();
-}
-
-/// The rpq refresh round: product-condensation rows for every dirty
-/// automaton that lists this site, in broadcast order (matching the
-/// coordinator's site_sigs demux order).
-Result<std::vector<uint8_t>> RunRpqRows(const Fragment& f,
-                                        FragmentContext* ctx, Decoder* dec) {
-  const size_t num_dirty = dec->GetCount();
-  if (!dec->ok()) return dec->status();
-  std::vector<QueryAutomaton> mine;
-  for (size_t i = 0; i < num_dirty; ++i) {
-    QueryAutomaton a = QueryAutomaton::Deserialize(dec);
-    if (!dec->ok()) return dec->status();
     bool lists_me = false;
-    for (size_t n = dec->GetCount(); n > 0; --n) {
-      lists_me |= static_cast<SiteId>(dec->GetVarint()) == f.site();
+    for (size_t k = dec.GetCount(); k > 0; --k) {
+      lists_me |= dec.GetVarint() == f.site();
     }
-    if (!dec->ok()) return dec->status();
-    if (lists_me) mine.push_back(std::move(a));
+    if (!dec.ok()) return dec.status();
+    if (lists_me) {
+      mine.emplace_back(static_cast<QueryKind>(kind), std::move(automaton));
+    }
   }
-  if (!dec->Done()) return Status::Corruption("rpq rows round: trailing bytes");
+  if (!dec.Done()) return Status::Corruption("rows round: trailing bytes");
 
   ctx->BeginRpqRound();
   Encoder reply;
-  for (const QueryAutomaton& a : mine) {
-    reply.PutFrame(EncodeRpqRows(
-        f, ctx, ctx->rpq_product(f, Canonicalize(a).signature.key, a)));
+  for (const auto& [kind, a] : mine) {
+    switch (kind) {
+      case QueryKind::kReach:
+        reply.PutFrame(EncodeReachRows(f, ctx));
+        break;
+      case QueryKind::kDist:
+        reply.PutFrame(EncodeDistRows(f, ctx));
+        break;
+      case QueryKind::kRpq:
+        reply.PutFrame(
+            EncodeRpqRows(f, ctx, ctx->rpq_product(f, a->key, a->automaton)));
+        break;
+    }
   }
   return reply.TakeBuffer();
 }
 
-/// The rpq endpoint-sweep round: canonical automaton table plus
-/// (source, target, table ref) triples.
-Result<std::vector<uint8_t>> RunRpqSweep(const Fragment& f,
-                                         FragmentContext* ctx, Decoder* dec) {
-  const size_t num_sigs = dec->GetCount();
-  if (!dec->ok()) return dec->status();
-  std::vector<QueryAutomaton> automata;
-  automata.reserve(num_sigs);
-  for (size_t i = 0; i < num_sigs; ++i) {
-    automata.push_back(QueryAutomaton::Deserialize(dec));
-    if (!dec->ok()) return dec->status();
-  }
-  std::vector<WireQuery> queries(dec->GetCount());
-  for (WireQuery& q : queries) {
-    q.kind = QueryKind::kRpq;
-    q.source = static_cast<NodeId>(dec->GetVarint());
-    q.target = static_cast<NodeId>(dec->GetVarint());
-    q.automaton_ref = static_cast<uint32_t>(dec->GetVarint());
-  }
-  if (!dec->Done()) return Status::Corruption("rpq sweep: trailing bytes");
-  for (const WireQuery& q : queries) {
-    if (q.automaton_ref >= automata.size()) {
-      return Status::Corruption("rpq sweep: automaton ref out of range");
-    }
-  }
-  std::vector<std::string> keys(automata.size());
-  for (size_t i = 0; i < automata.size(); ++i) {
-    keys[i] = Canonicalize(automata[i]).signature.key;
-  }
+/// The sweep round: one endpoint frame per query of the batch broadcast,
+/// whatever its class; a flag byte where this fragment stores neither
+/// endpoint.
+Result<std::vector<uint8_t>> RunIndexSweep(
+    const Fragment& f, FragmentContext* ctx,
+    const std::vector<uint8_t>& broadcast) {
+  std::vector<WireQuery> queries;
+  std::vector<WireAutomaton> automata;
+  Status decoded = DecodeBatch(broadcast, &queries, &automata);
+  if (!decoded.ok()) return decoded;
 
-  ctx->BeginRpqRound();
+  if (!automata.empty()) ctx->BeginRpqRound();
   Encoder reply;
   for (const WireQuery& q : queries) {
     Encoder body;
-    if (!f.Contains(q.source) && !f.Contains(q.target)) {
-      body.PutU8(0);
-    } else {
-      const FragmentContext::RpqProduct& p = ctx->rpq_product(
-          f, keys[q.automaton_ref], automata[q.automaton_ref]);
-      EncodeRpqSweepFrame(f, ctx, p, q.source, q.target, &body);
+    switch (q.kind) {
+      case QueryKind::kReach:
+        EncodeBoundarySweepFrame(f, ctx, q.source, q.target, &body);
+        break;
+      case QueryKind::kDist:
+        EncodeDistSweepFrame(f, ctx, q.source, q.target, q.bound, &body);
+        break;
+      case QueryKind::kRpq: {
+        if (!f.Contains(q.source) && !f.Contains(q.target)) {
+          body.PutU8(0);
+          break;
+        }
+        const WireAutomaton& a = automata[q.automaton_ref];
+        EncodeRpqSweepFrame(f, ctx, ctx->rpq_product(f, a.key, a.automaton),
+                            q.source, q.target, &body);
+        break;
+      }
     }
     reply.PutFrame(body.buffer());
   }
@@ -525,24 +542,13 @@ Result<std::vector<uint8_t>> RunRpqSweep(const Fragment& f,
 Result<std::vector<uint8_t>> RunSiteRound(
     const Fragment& f, FragmentContext* ctx, RoundKind kind, uint8_t aux,
     const std::vector<uint8_t>& broadcast) {
-  Decoder dec(broadcast, Decoder::OnError::kStatus);
   switch (kind) {
     case RoundKind::kBatchEval:
-      return RunBatchEval(f, ctx, aux, &dec);
-    case RoundKind::kReachRows:
-    case RoundKind::kDistRows:
-      if (!broadcast.empty()) {
-        return Status::Corruption("rows round: unexpected payload");
-      }
-      return kind == RoundKind::kReachRows ? EncodeReachRows(f, ctx)
-                                           : EncodeDistRows(f, ctx);
-    case RoundKind::kRpqRows:
-      return RunRpqRows(f, ctx, &dec);
-    case RoundKind::kReachSweep:
-    case RoundKind::kDistSweep:
-      return RunEndpointSweep(f, ctx, kind, &dec);
-    case RoundKind::kRpqSweep:
-      return RunRpqSweep(f, ctx, &dec);
+      return RunBatchEval(f, ctx, aux, broadcast);
+    case RoundKind::kIndexRows:
+      return RunIndexRows(f, ctx, broadcast);
+    case RoundKind::kIndexSweep:
+      return RunIndexSweep(f, ctx, broadcast);
   }
   return Status::Corruption("unknown round kind");
 }

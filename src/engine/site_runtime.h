@@ -52,9 +52,9 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
                          NodeId t, Encoder* body);
 
 /// The one site entry point: decodes a round broadcast (tolerant decoding —
-/// a corrupt or truncated payload returns Corruption, never aborts, so one
-/// bad frame cannot kill a worker process) and produces this fragment's
-/// reply bytes for (kind, aux). `ctx` is the site's standing cache; it must
+/// a corrupt or truncated payload, or a kind byte no RoundKind names,
+/// returns Corruption, never aborts, so one bad frame cannot kill a worker
+/// process) and produces this fragment's reply bytes for (kind, aux). `ctx` is the site's standing cache; it must
 /// be reset (fresh FragmentContext) whenever the fragment changes. Workers
 /// call it over their fragment copies; the kSim backend and the socket
 /// transport's degrade-local path (DESIGN.md §13.2) call it over the

@@ -49,7 +49,7 @@ RunMetrics Cluster::EndQuery() {
 }
 
 void Cluster::ChargeRound(const std::vector<SiteId>& sites,
-                          size_t accounted_broadcast_bytes,
+                          size_t broadcast_bytes,
                           const std::vector<std::vector<uint8_t>>& replies,
                           double max_compute_ms) {
   const size_t k = sites.size();
@@ -58,7 +58,7 @@ void Cluster::ChargeRound(const std::vector<SiteId>& sites,
   // The books charge the round's PAYLOADS — broadcast and non-empty replies
   // — never the transport envelope, so modeled numbers are identical across
   // backends (and to the seed).
-  size_t round_bytes = accounted_broadcast_bytes * k;
+  size_t round_bytes = broadcast_bytes * k;
   size_t num_messages = k;  // coordinator -> site broadcasts
   for (const std::vector<uint8_t>& reply : replies) {
     if (!reply.empty()) {
@@ -107,7 +107,7 @@ Result<std::vector<std::vector<uint8_t>>> Cluster::TryRound(
   double max_compute = 0.0;
   Status s = transport_->Execute(sites, spec, local, &replies, &max_compute);
   if (!s.ok()) return s;
-  ChargeRound(sites, spec.accounted_broadcast_bytes, replies, max_compute);
+  ChargeRound(sites, spec.broadcast.size(), replies, max_compute);
   return replies;
 }
 

@@ -152,7 +152,7 @@ class Cluster {
   /// Charges the caller's open window with one completed round: the
   /// broadcast bytes once per listed site plus every non-empty reply.
   void ChargeRound(const std::vector<SiteId>& sites,
-                   size_t accounted_broadcast_bytes,
+                   size_t broadcast_bytes,
                    const std::vector<std::vector<uint8_t>>& replies,
                    double max_compute_ms);
 

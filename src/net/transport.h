@@ -104,15 +104,13 @@ struct TransportOptions {
 
 /// What a round asks every listed site to do. Every backend evaluates it
 /// with site_runtime::RunSiteRound: kSim in process, kSocket on its workers
-/// after shipping `broadcast` verbatim.
+/// after shipping `broadcast` verbatim. The three indexed query classes
+/// share one round pair (DESIGN.md §13.1): an indexed batch of any class
+/// mix costs at most a refresh round and a sweep round.
 enum class RoundKind : uint8_t {
   kBatchEval = 0,   // multiplexed localEval/localEvald/localEvalr batch
-  kReachRows = 1,   // refresh: condensation rows (BoundaryReachIndex)
-  kDistRows = 2,    // refresh: weighted boundary rows (BoundaryDistIndex)
-  kRpqRows = 3,     // refresh: product condensation rows (BoundaryRpqIndex)
-  kReachSweep = 4,  // per-query endpoint sweeps, reach indexed path
-  kDistSweep = 5,   // per-query endpoint sweeps, dist indexed path
-  kRpqSweep = 6,    // per-query endpoint sweeps, rpq indexed path
+  kIndexRows = 1,   // refresh: one rows frame per dirty (index, fragment)
+  kIndexSweep = 2,  // endpoint sweeps of an indexed batch, every class
 };
 
 struct RoundSpec {
@@ -120,15 +118,11 @@ struct RoundSpec {
   /// Kind-specific scalar: the EquationForm for kBatchEval, unused
   /// otherwise. Everything else a worker needs is derived from `broadcast`.
   uint8_t aux = 0;
-  /// The round's broadcast payload (shipped verbatim to every listed site).
-  std::vector<uint8_t> broadcast;
-  /// Bytes charged to the modeled traffic books per site. Usually
-  /// broadcast.size(); the rows-refresh rounds keep the seed's 1-byte
-  /// "please send rows" convention while shipping an empty payload, so the
-  /// modeled numbers stay bit-identical across backends. Envelope bytes
+  /// The round's broadcast payload, shipped verbatim to every listed site.
+  /// The modeled books charge its size once per listed site; envelope bytes
   /// (kind, aux, framing, CRC) are never accounted — the model charges
   /// payloads, not transport overhead.
-  size_t accounted_broadcast_bytes = 0;
+  std::vector<uint8_t> broadcast;
 };
 
 // --- Wire framing (kSocket) -------------------------------------------------
@@ -145,7 +139,7 @@ struct RoundSpec {
 
 // Bumped whenever a message or reply format changes, so a stale worker fails
 // at Hello instead of decoding garbage.
-inline constexpr uint8_t kWireVersion = 3;
+inline constexpr uint8_t kWireVersion = 4;
 
 enum class WireMessage : uint8_t {
   kHello = 0,     // u8 version, varint site, fragment bytes -> ok reply

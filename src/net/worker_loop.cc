@@ -125,10 +125,6 @@ void ServeConnection(int fd) {
                 Status::InvalidArgument("worker: round before hello");
             break;
           }
-          if (kind > static_cast<uint8_t>(RoundKind::kRpqSweep)) {
-            reply_status = Status::Corruption("worker: unknown round kind");
-            break;
-          }
           const std::vector<uint8_t> broadcast(
               body.begin() + static_cast<ptrdiff_t>(dec.position()),
               body.end());

@@ -184,7 +184,7 @@ void QueryAutomaton::Serialize(Encoder* enc) const {
 QueryAutomaton QueryAutomaton::Deserialize(Decoder* dec) {
   QueryAutomaton a;
   const size_t n = dec->GetCount();
-  PEREACH_CHECK_LE(n, kMaxStates);
+  if (!dec->Require(n <= kMaxStates, "automaton: too many states")) return a;
   a.labels_.resize(n);
   for (LabelId& l : a.labels_) {
     const uint64_t v = dec->GetVarint();

@@ -313,9 +313,12 @@ TEST(BoundaryIndexDifferentialTest, RebuildsLazilyAndOnlyWhenDirty) {
   EXPECT_TRUE(boundary->DirtySites().empty());
 }
 
-// Mixed-class batches: reach queries take the boundary path while dist/rpq
-// ride the equation broadcast of the same EvaluateBatch — answers must agree
-// with the all-BES engine for every class.
+// Mixed-class batches: with reach indexed, reach queries take the boundary
+// path while dist/rpq ride the equation broadcast of the same
+// EvaluateBatch; with all three classes indexed, the whole batch shares one
+// refresh round and one sweep round. Answers must agree with the all-BES
+// engine and the centralized oracle for every class, and the all-indexed
+// batch costs at most two rounds and two visits per site, cold and warm.
 TEST(BoundaryIndexDifferentialTest, MixedClassBatchesAgreeWithBes) {
   Rng rng(31337);
   const size_t n = 70, kSites = 4, kLabels = 3;
@@ -324,9 +327,13 @@ TEST(BoundaryIndexDifferentialTest, MixedClassBatchesAgreeWithBes) {
   const Fragmentation frag = Fragmentation::Build(g, part, kSites);
   Cluster cluster(&frag, NetworkModel{});
   PartialEvalEngine bes_engine(&cluster);
-  PartialEvalOptions idx_options;
-  idx_options.reach_path = ReachAnswerPath::kBoundaryIndex;
-  PartialEvalEngine idx_engine(&cluster, idx_options);
+  PartialEvalOptions reach_options;
+  reach_options.reach_path = ReachAnswerPath::kBoundaryIndex;
+  PartialEvalEngine reach_engine(&cluster, reach_options);
+  PartialEvalOptions all_options = reach_options;
+  all_options.dist_path = DistAnswerPath::kBoundaryIndex;
+  all_options.rpq_path = RpqAnswerPath::kBoundaryIndex;
+  PartialEvalEngine all_engine(&cluster, all_options);
 
   std::vector<Query> batch;
   for (size_t q = 0; q < 30; ++q) {
@@ -348,13 +355,40 @@ TEST(BoundaryIndexDifferentialTest, MixedClassBatchesAgreeWithBes) {
     }
   }
   const BatchAnswer expected = bes_engine.EvaluateBatch(batch);
-  const BatchAnswer actual = idx_engine.EvaluateBatch(batch);
-  for (size_t q = 0; q < batch.size(); ++q) {
-    EXPECT_EQ(actual.answers[q].reachable, expected.answers[q].reachable)
-        << "kind=" << static_cast<int>(batch[q].kind)
-        << " s=" << batch[q].source << " t=" << batch[q].target;
-    if (batch[q].kind == QueryKind::kDist) {
-      EXPECT_EQ(actual.answers[q].distance, expected.answers[q].distance);
+  for (const char* warmth : {"cold", "warm"}) {
+    const BatchAnswer all = all_engine.EvaluateBatch(batch);
+    ASSERT_TRUE(all.status.ok()) << all.status.ToString();
+    EXPECT_LE(all.metrics.rounds, 2u) << warmth;
+    for (size_t i = 0; i < kSites; ++i) {
+      EXPECT_LE(all.metrics.site_visits[i], 2u) << warmth << " site " << i;
+    }
+    const BatchAnswer reach = reach_engine.EvaluateBatch(batch);
+    for (size_t q = 0; q < batch.size(); ++q) {
+      const Query& query = batch[q];
+      bool oracle = false;
+      switch (query.kind) {
+        case QueryKind::kReach:
+          oracle = CentralizedReach(g, query.source, query.target);
+          break;
+        case QueryKind::kDist:
+          oracle = CentralizedDistance(g, query.source, query.target) <=
+                   query.bound;
+          break;
+        case QueryKind::kRpq:
+          oracle = CentralizedRegularReach(g, query.source, query.target,
+                                           *query.automaton);
+          break;
+      }
+      for (const BatchAnswer* actual : {&reach, &all}) {
+        EXPECT_EQ(actual->answers[q].reachable, expected.answers[q].reachable)
+            << warmth << " kind=" << static_cast<int>(query.kind)
+            << " s=" << query.source << " t=" << query.target;
+        EXPECT_EQ(actual->answers[q].reachable, oracle) << warmth;
+        if (query.kind == QueryKind::kDist) {
+          EXPECT_EQ(actual->answers[q].distance, expected.answers[q].distance)
+              << warmth;
+        }
+      }
     }
   }
 }

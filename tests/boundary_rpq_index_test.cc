@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "src/core/incremental.h"
 #include "src/core/local_eval.h"
 #include "src/engine/partial_eval_engine.h"
+#include "src/engine/site_runtime.h"
 #include "src/fragment/partitioner.h"
 #include "src/graph/generators.h"
 #include "src/net/cluster.h"
@@ -400,6 +402,69 @@ TEST(RpqBatchDedupTest, IdenticalAutomataShipOncePerBatch) {
   const size_t automaton_bytes = Canonicalize(a).signature.key.size();
   EXPECT_LT(batched.traffic_bytes + 10 * automaton_bytes,
             singles.traffic_bytes);
+}
+
+// Sites key their product caches by the automaton bytes the coordinator
+// ships — the canonical automaton's Serialize bytes, its signature key — so
+// the sweep after a refresh, and every warm batch after that, find the
+// products the refresh built: a warm rpq batch builds no product at any
+// site, and language-equal regexes share one product.
+TEST(RpqSiteCacheTest, WarmBatchBuildsNoProductAtAnySite) {
+  Rng rng(5);
+  const size_t n = 60, kSites = 4, kLabels = 3;
+  const Graph g = ErdosRenyi(n, 3 * n, kLabels, &rng);
+  const Fragmentation frag =
+      Fragmentation::Build(g, RandomPartition(n, kSites, &rng), kSites);
+  LabelDictionary labels;
+  for (size_t l = 0; l < kLabels; ++l) labels.Intern("l" + std::to_string(l));
+  const QueryAutomaton a =
+      QueryAutomaton::FromRegex(Regex::Parse("l0 l1*", labels).value())
+          .value();
+  const QueryAutomaton a_twin =
+      QueryAutomaton::FromRegex(Regex::Parse("(l0 | l0) l1*", labels).value())
+          .value();
+  const QueryAutomaton b =
+      QueryAutomaton::FromRegex(Regex::Parse("(l1 | l2)*", labels).value())
+          .value();
+  std::vector<Query> batch;
+  std::vector<size_t> wire;
+  for (const QueryAutomaton* automaton : {&a, &a_twin, &b, &a, &b}) {
+    wire.push_back(batch.size());
+    batch.push_back(Query::Rpq(static_cast<NodeId>(rng.Uniform(n)),
+                               static_cast<NodeId>(rng.Uniform(n)),
+                               *automaton));
+  }
+  const BatchBroadcast sweep = EncodeBatchBroadcast(batch, wire);
+  ASSERT_EQ(sweep.automata.size(), 2u);
+
+  // The refresh broadcast: one rpq index entry per automaton, every site.
+  Encoder refresh;
+  refresh.PutVarint(sweep.automata.size());
+  for (const CanonicalAutomaton& canon : sweep.automata) {
+    refresh.PutU8(static_cast<uint8_t>(QueryKind::kRpq));
+    canon.automaton.Serialize(&refresh);
+    refresh.PutVarint(kSites);
+    for (SiteId site = 0; site < kSites; ++site) refresh.PutVarint(site);
+  }
+
+  FragmentContextCache contexts(&frag);
+  const auto run = [&](RoundKind kind, const std::vector<uint8_t>& bytes) {
+    std::vector<size_t> builds;
+    for (SiteId site = 0; site < kSites; ++site) {
+      FragmentContext& ctx = contexts.Get(site);
+      const Result<std::vector<uint8_t>> reply =
+          RunSiteRound(frag.fragment(site), &ctx, kind, 0, bytes);
+      EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+      builds.push_back(ctx.section_builds());
+    }
+    return builds;
+  };
+  const std::vector<size_t> cold = run(RoundKind::kIndexRows, refresh.buffer());
+  for (SiteId site = 0; site < kSites; ++site) {
+    EXPECT_EQ(contexts.Get(site).rpq_cache_size(), 2u) << "site " << site;
+  }
+  EXPECT_EQ(run(RoundKind::kIndexSweep, sweep.bytes), cold);
+  EXPECT_EQ(run(RoundKind::kIndexSweep, sweep.bytes), cold);  // warm batch
 }
 
 }  // namespace

@@ -355,15 +355,20 @@ struct Forgery {
   PayloadEdit apply;
 };
 
-/// A dist refresh reply with `edit` applied to its rows.
-PayloadEdit ForgeRows(void (*edit)(WeightedBoundaryRows*)) {
+/// A refresh reply for one index (one rows frame) with `edit` applied to
+/// its rows: WeightedBoundaryRows for dist, BoundaryRows for reach and rpq.
+template <typename Rows>
+PayloadEdit ForgeRows(void (*edit)(Rows*)) {
   return [edit](std::vector<uint8_t>* payload) {
     Decoder dec(*payload);
-    WeightedBoundaryRows rows = WeightedBoundaryRows::Deserialize(&dec);
+    Decoder frame = dec.GetFrame();
+    Rows rows = Rows::Deserialize(&frame);
     edit(&rows);
-    Encoder enc;
-    rows.Serialize(&enc);
-    *payload = enc.TakeBuffer();
+    Encoder body;
+    rows.Serialize(&body);
+    Encoder reply;
+    reply.PutFrame(body.buffer());
+    *payload = reply.TakeBuffer();
   };
 }
 
@@ -602,8 +607,8 @@ TEST(TransportFailureTest, ForgedDistRepliesRejectBatchesNotProcess) {
   const Pairs pat_exit = {{0, 1}};
   const Pairs none;
   constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
-  constexpr RoundKind kRows = RoundKind::kDistRows;
-  constexpr RoundKind kSweep = RoundKind::kDistSweep;
+  constexpr RoundKind kRows = RoundKind::kIndexRows;
+  constexpr RoundKind kSweep = RoundKind::kIndexSweep;
   std::vector<Forgery> forgeries;
   forgeries.push_back({kRows, ForgeRows(AliasToNoRep)});
   forgeries.push_back({kRows, ForgeRows(IndexPastTable)});
@@ -693,18 +698,6 @@ void ExpectForgeriesRejected(const Fragmentation& frag,
   EXPECT_TRUE(served.answers[0].reachable);
 }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
 
-/// A reach refresh reply with `edit` applied to its rows.
-PayloadEdit ForgeReachRows(void (*edit)(BoundaryRows*)) {
-  return [edit](std::vector<uint8_t>* payload) {
-    Decoder dec(*payload);
-    BoundaryRows rows = BoundaryRows::Deserialize(&dec);
-    edit(&rows);
-    Encoder enc;
-    rows.Serialize(&enc);
-    *payload = enc.TakeBuffer();
-  };
-}
-
 /// A one-query reach or rpq sweep reply: the honest frame holding both
 /// endpoints, with its t-side component id replaced by `comp`.
 PayloadEdit ReplaceReachTComponent(uint64_t comp) {
@@ -742,12 +735,12 @@ TEST(TransportFailureTest, ForgedReachRepliesRejectBatchesNotProcess) {
   constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
   std::vector<Forgery> forgeries;
   for (const ReachRowsEdit edit : ReachRowsEdits()) {
-    forgeries.push_back({RoundKind::kReachRows, ForgeReachRows(edit)});
+    forgeries.push_back({RoundKind::kIndexRows, ForgeRows(edit)});
   }
   forgeries.push_back(
-      {RoundKind::kReachSweep, ReplaceReachTComponent(installed)});
+      {RoundKind::kIndexSweep, ReplaceReachTComponent(installed)});
   forgeries.push_back(
-      {RoundKind::kReachSweep, ReplaceReachTComponent(kNoSuchId)});
+      {RoundKind::kIndexSweep, ReplaceReachTComponent(kNoSuchId)});
   std::atomic<size_t> applied{0};
 
   FakeWorkers workers(3);
@@ -775,7 +768,7 @@ TEST(TransportFailureTest, ForgedReachOsetTableCannotAbort) {
             ex.jack);  // site 2's first virtual node, Pat's one exit
   std::vector<Forgery> forgeries;
   forgeries.push_back(
-      {RoundKind::kReachRows, ForgeReachRows(NonBoundaryFirstOsetEntry)});
+      {RoundKind::kIndexRows, ForgeRows(NonBoundaryFirstOsetEntry)});
   std::atomic<size_t> applied{0};
 
   FakeWorkers workers(3);
@@ -791,22 +784,6 @@ TEST(TransportFailureTest, ForgedReachOsetTableCannotAbort) {
     EXPECT_TRUE(served.status.ok()) << served.status.ToString();
     EXPECT_EQ(applied.load(), 1u);
   }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
-}
-
-/// An rpq refresh reply (one product-condensation rows frame) with `edit`
-/// applied.
-PayloadEdit ForgeRpqRows(ReachRowsEdit edit) {
-  return [edit](std::vector<uint8_t>* payload) {
-    Decoder dec(*payload);
-    Decoder frame = dec.GetFrame();
-    BoundaryRows rows = BoundaryRows::Deserialize(&frame);
-    edit(&rows);
-    Encoder body;
-    rows.Serialize(&body);
-    Encoder reply;
-    reply.PutFrame(body.buffer());
-    *payload = reply.TakeBuffer();
-  };
 }
 
 // The rpq index path checks reply content like its reach twin: product
@@ -830,12 +807,12 @@ TEST(TransportFailureTest, ForgedRpqRepliesRejectBatchesNotProcess) {
   constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
   std::vector<Forgery> forgeries;
   for (const ReachRowsEdit edit : ReachRowsEdits()) {
-    forgeries.push_back({RoundKind::kRpqRows, ForgeRpqRows(edit)});
+    forgeries.push_back({RoundKind::kIndexRows, ForgeRows(edit)});
   }
   forgeries.push_back(
-      {RoundKind::kRpqSweep, ReplaceReachTComponent(installed)});
+      {RoundKind::kIndexSweep, ReplaceReachTComponent(installed)});
   forgeries.push_back(
-      {RoundKind::kRpqSweep, ReplaceReachTComponent(kNoSuchId)});
+      {RoundKind::kIndexSweep, ReplaceReachTComponent(kNoSuchId)});
   std::atomic<size_t> applied{0};
 
   FakeWorkers workers(3);
@@ -844,6 +821,127 @@ TEST(TransportFailureTest, ForgedRpqRepliesRejectBatchesNotProcess) {
   options.rpq_path = RpqAnswerPath::kBoundaryIndex;
   ExpectForgeriesRejected(frag, workers, options, batch, forgeries.size(),
                           applied);
+}
+
+/// A two-index refresh reply with `edit` applied to its second rows frame.
+PayloadEdit ForgeSecondRows(ReachRowsEdit edit) {
+  return [edit](std::vector<uint8_t>* payload) {
+    Decoder dec(*payload);
+    Decoder first = dec.GetFrame();
+    Decoder second = dec.GetFrame();
+    ASSERT_TRUE(dec.Done());
+    std::vector<uint8_t> first_body(first.remaining());
+    for (uint8_t& b : first_body) b = first.GetU8();
+    BoundaryRows rows = BoundaryRows::Deserialize(&second);
+    edit(&rows);
+    Encoder second_body;
+    rows.Serialize(&second_body);
+    Encoder reply;
+    reply.PutFrame(first_body);
+    reply.PutFrame(second_body.buffer());
+    *payload = reply.TakeBuffer();
+  };
+}
+
+// A refresh reply whose first rows frame decodes and whose second does not
+// leaves the first index with its rows installed and no dirty site, but not
+// rebuilt. The next batch, routed to that index alone, runs no refresh
+// round; it must still rebuild the index before its lookups instead of
+// aborting on the stale graph.
+TEST(TransportFailureTest, HalfInstalledRefreshIsRebuiltByTheNextBatch) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  const Query mk_hr =
+      Query::Rpq(ex.pat, ex.mark, Regex::Parse("MK HR*", ex.labels).value());
+  const Query mk =
+      Query::Rpq(ex.pat, ex.mark, Regex::Parse("MK", ex.labels).value());
+  const std::vector<Forgery> forgeries = {
+      {RoundKind::kIndexRows, ForgeSecondRows(ReachRowsEdits().front())}};
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  ServeForgeries(&workers, &forgeries, &applied);
+  {
+    Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
+                    ConnectOptions(workers));
+    PartialEvalOptions options;
+    options.rpq_path = RpqAnswerPath::kBoundaryIndex;
+    PartialEvalEngine engine(&cluster, options);
+    const BatchAnswer rejected =
+        engine.EvaluateBatch(std::vector<Query>{mk_hr, mk});
+    ASSERT_FALSE(rejected.status.ok());
+    EXPECT_EQ(rejected.status.code(), StatusCode::kCorruption)
+        << rejected.status.ToString();
+    EXPECT_EQ(applied.load(), 1u);
+
+    const BatchAnswer served =
+        engine.EvaluateBatch(std::vector<Query>{mk_hr});
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_TRUE(served.answers[0].reachable);
+    EXPECT_EQ(served.metrics.rounds, 1u);  // no refresh round ran
+  }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
+}
+
+/// Drops the last rows frame of a refresh reply.
+void DropLastFrame(std::vector<uint8_t>* payload) {
+  Decoder dec(*payload);
+  std::vector<std::vector<uint8_t>> frames;
+  while (dec.remaining() > 0) {
+    Decoder frame = dec.GetFrame();
+    std::vector<uint8_t> body(frame.remaining());
+    for (uint8_t& b : body) b = frame.GetU8();
+    frames.push_back(std::move(body));
+  }
+  ASSERT_GE(frames.size(), 2u);
+  frames.pop_back();
+  Encoder reply;
+  for (const std::vector<uint8_t>& body : frames) reply.PutFrame(body);
+  *payload = reply.TakeBuffer();
+}
+
+// A refresh reply carries one rows frame per index that lists its site.
+// Site 2, listed by the reach and the dist index, answers with the reach
+// frame only: the batch is Corruption and no rows of that round are
+// installed, so every site stays dirty in both indexes; the next batch
+// asks again and is served.
+TEST(TransportFailureTest, RowsReplyMissingAFrameKeepsSiteDirty) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  constexpr uint32_t kBound = 8;
+  const std::vector<Query> batch = {Query::Reach(ex.pat, ex.mark),
+                                    Query::Dist(ex.pat, ex.mark, kBound)};
+  const std::vector<Forgery> forgeries = {
+      {RoundKind::kIndexRows, DropLastFrame}};
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  ServeForgeries(&workers, &forgeries, &applied);
+  {
+    Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
+                    ConnectOptions(workers));
+    PartialEvalOptions options;
+    options.reach_path = ReachAnswerPath::kBoundaryIndex;
+    options.dist_path = DistAnswerPath::kBoundaryIndex;
+    PartialEvalEngine engine(&cluster, options);
+    const BatchAnswer rejected = engine.EvaluateBatch(batch);
+    ASSERT_FALSE(rejected.status.ok());
+    EXPECT_EQ(rejected.status.code(), StatusCode::kCorruption)
+        << rejected.status.ToString();
+    EXPECT_EQ(applied.load(), 1u);
+    const std::vector<SiteId> all = {0, 1, 2};
+    ASSERT_NE(engine.boundary_index(), nullptr);
+    ASSERT_NE(engine.boundary_dist_index(), nullptr);
+    EXPECT_EQ(engine.boundary_index()->DirtySites(), all);
+    EXPECT_EQ(engine.boundary_dist_index()->DirtySites(), all);
+
+    const BatchAnswer served = engine.EvaluateBatch(batch);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_TRUE(served.answers[0].reachable);
+    EXPECT_EQ(served.answers[1].distance,
+              BfsDistance(ex.graph, ex.pat, ex.mark));
+    EXPECT_TRUE(engine.boundary_index()->DirtySites().empty());
+    EXPECT_TRUE(engine.boundary_dist_index()->DirtySites().empty());
+  }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
 }
 
 // ---------------------------------------------------------------------------

@@ -19,6 +19,8 @@
 #include "src/engine/baseline_engines.h"
 #include "src/graph/generators.h"
 #include "src/net/transport.h"
+#include "src/regex/canonical.h"
+#include "src/regex/regex.h"
 #include "tests/test_util.h"
 
 namespace pereach {
@@ -190,6 +192,54 @@ TEST(QueryEngineBatchTest, MixedKindBatchMatchesSingles) {
         break;
     }
   }
+}
+
+// kBatchEval and kIndexSweep rounds ship one broadcast format. A batch
+// without regular queries is its queries' own wire form; regular queries
+// carry a table reference instead, and the table — one canonical automaton
+// per distinct language, in first-use order — is appended only then.
+TEST(BatchBroadcastTest, AutomatonTableOnlyWithRegularQueries) {
+  const std::vector<Query> plain = {Query::Reach(3, 200), Query::Dist(7, 1, 4),
+                                    Query::Reach(0, 9)};
+  for (const std::vector<size_t>& wire :
+       {std::vector<size_t>{0, 2}, std::vector<size_t>{1},
+        std::vector<size_t>{2, 1, 0}}) {
+    Encoder expected;
+    expected.PutVarint(wire.size());
+    for (size_t qi : wire) plain[qi].Serialize(&expected);
+    const BatchBroadcast got = EncodeBatchBroadcast(plain, wire);
+    EXPECT_EQ(got.bytes, expected.buffer());
+    EXPECT_TRUE(got.automata.empty());
+  }
+
+  LabelDictionary labels;
+  labels.Intern("a");
+  labels.Intern("b");
+  const auto automaton = [&labels](const char* regex) {
+    return QueryAutomaton::FromRegex(Regex::Parse(regex, labels).value())
+        .value();
+  };
+  const std::vector<Query> mixed = {Query::Rpq(1, 2, automaton("a b*")),
+                                    Query::Reach(4, 5),
+                                    Query::Rpq(6, 7, automaton("b")),
+                                    Query::Rpq(8, 9, automaton("(a | a) b*"))};
+  const BatchBroadcast got = EncodeBatchBroadcast(mixed, {0, 1, 2, 3});
+  ASSERT_EQ(got.automata.size(), 2u);
+  EXPECT_EQ(got.automaton_ref, (std::vector<uint32_t>{0, 0, 1, 0}));
+  Encoder expected;
+  expected.PutVarint(4);
+  for (size_t qi = 0; qi < mixed.size(); ++qi) {
+    mixed[qi].SerializeHeader(&expected);
+    if (mixed[qi].kind == QueryKind::kRpq) {
+      expected.PutVarint(got.automaton_ref[qi]);
+    }
+  }
+  expected.PutVarint(2);
+  for (const CanonicalAutomaton& canon : got.automata) {
+    EXPECT_EQ(canon.signature.key, Canonicalize(canon.automaton).signature.key);
+    canon.automaton.Serialize(&expected);
+  }
+  EXPECT_EQ(got.bytes, expected.buffer());
 }
 
 // The closure fast path reads cached rows instead of re-running localEval;

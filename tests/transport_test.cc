@@ -15,6 +15,8 @@
 #include "src/engine/fragment_context.h"
 #include "src/engine/partial_eval_engine.h"
 #include "src/net/cluster.h"
+#include "src/regex/canonical.h"
+#include "src/regex/regex.h"
 #include "src/util/serialization.h"
 #include "tests/test_util.h"
 
@@ -222,6 +224,20 @@ TEST(TransportBackendTest, SocketSpawnAnswersAndBooksMatchSim) {
   ExpectBackendMatchesSim(TransportBackend::kSocket);
 }
 
+/// A refresh round asking `sites` for the reach index's rows (DESIGN.md
+/// §13.1): one index entry, kind kReach, listing every site.
+RoundSpec ReachRowsSpec(const std::vector<SiteId>& sites) {
+  Encoder refresh;
+  refresh.PutVarint(1);
+  refresh.PutU8(static_cast<uint8_t>(QueryKind::kReach));
+  refresh.PutVarint(sites.size());
+  for (SiteId site : sites) refresh.PutVarint(site);
+  RoundSpec spec;
+  spec.kind = RoundKind::kIndexRows;
+  spec.broadcast = refresh.TakeBuffer();
+  return spec;
+}
+
 TEST(TransportBackendTest, SocketSpawnsOneWorkerPerFragment) {
   const PaperExample ex = MakePaperExample();
   const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
@@ -233,10 +249,8 @@ TEST(TransportBackendTest, SocketSpawnsOneWorkerPerFragment) {
   EXPECT_TRUE(cluster.transport()->WorkerPidsForTest().empty());
   FragmentContextCache local(&frag);
   cluster.BeginQuery();
-  RoundSpec spec;
-  spec.kind = RoundKind::kReachRows;
-  spec.accounted_broadcast_bytes = 1;
-  const auto replies = cluster.TryRound({0, 1, 2}, spec, &local);
+  const auto replies =
+      cluster.TryRound({0, 1, 2}, ReachRowsSpec({0, 1, 2}), &local);
   cluster.EndQuery();
   ASSERT_TRUE(replies.ok());
   EXPECT_EQ(replies.value().size(), 3u);
@@ -261,10 +275,8 @@ TEST(TransportBackendTest, UnreachableEndpointFailsRoundWithoutAborting) {
   Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3, opts);
   FragmentContextCache local(&frag);
   cluster.BeginQuery();
-  RoundSpec spec;
-  spec.kind = RoundKind::kReachRows;
-  spec.accounted_broadcast_bytes = 1;
-  const auto replies = cluster.TryRound({0, 1, 2}, spec, &local);
+  const auto replies =
+      cluster.TryRound({0, 1, 2}, ReachRowsSpec({0, 1, 2}), &local);
   cluster.EndQuery();
   EXPECT_FALSE(replies.ok());
 }
@@ -277,28 +289,82 @@ TEST(TransportBackendTest, SimRejectsUndecodableSpecWithoutCharging) {
   const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
   Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3);
   FragmentContextCache local(&frag);
+  const auto spec = [](RoundKind kind, std::vector<uint8_t> broadcast) {
+    RoundSpec out;
+    out.kind = kind;
+    out.broadcast = std::move(broadcast);
+    return out;
+  };
+  std::vector<RoundSpec> specs;
 
-  RoundSpec bad_form;
-  bad_form.kind = RoundKind::kBatchEval;
+  RoundSpec bad_form = spec(RoundKind::kBatchEval, {0});  // zero queries
   bad_form.aux = static_cast<uint8_t>(EquationForm::kDag) + 1;
-  bad_form.broadcast = {0, 0};  // zero queries, zero automata
-  bad_form.accounted_broadcast_bytes = bad_form.broadcast.size();
+  specs.push_back(bad_form);
 
-  Encoder sweep;
-  sweep.PutVarint(1);
-  Query::Reach(ex.ann, ex.mark).Serialize(&sweep);
-  RoundSpec truncated;
-  truncated.kind = RoundKind::kReachSweep;
-  truncated.broadcast = sweep.TakeBuffer();
-  truncated.broadcast.pop_back();
-  truncated.accounted_broadcast_bytes = truncated.broadcast.size();
+  // An unused round kind: the first value past kIndexSweep.
+  specs.push_back(spec(static_cast<RoundKind>(3), {0}));
 
-  for (const RoundSpec* spec : {&bad_form, &truncated}) {
+  // The batch broadcast both kBatchEval and kIndexSweep decode: a reach
+  // query cut short, and an rpq batch whose table is cut inside the
+  // automaton, is one entry short of a reference, declares an automaton
+  // past the state limit, or is followed by a stray byte.
+  const std::vector<size_t> one = {0};
+  std::vector<uint8_t> reach =
+      EncodeBatchBroadcast(std::vector<Query>{Query::Reach(ex.ann, ex.mark)},
+                           one)
+          .bytes;
+  reach.pop_back();
+  const Regex mk = Regex::Parse("MK", ex.labels).value();
+  const std::vector<uint8_t> rpq =
+      EncodeBatchBroadcast(std::vector<Query>{Query::Rpq(ex.pat, ex.mark, mk)},
+                           one)
+          .bytes;
+  const size_t table = 5;  // varint 1 · kind · s · t · ref, all one byte
+  ASSERT_EQ(rpq[table], 1u);
+  std::vector<uint8_t> truncated_automaton = rpq;
+  truncated_automaton.pop_back();
+  std::vector<uint8_t> ref_past_table = rpq;
+  ref_past_table[table - 1] = 1;
+  // kMaxStates + 1 states, each with a one-byte label and an 8-byte mask.
+  constexpr size_t kStates = QueryAutomaton::kMaxStates + 1;
+  std::vector<uint8_t> too_many_states(rpq.begin(), rpq.begin() + table + 1);
+  too_many_states.push_back(kStates);
+  too_many_states.resize(too_many_states.size() + 9 * kStates, 0);
+  std::vector<uint8_t> trailing = rpq;
+  trailing.push_back(0);
+  for (const RoundKind kind : {RoundKind::kBatchEval, RoundKind::kIndexSweep}) {
+    for (const std::vector<uint8_t>* broadcast :
+         {&reach, &truncated_automaton, &ref_past_table, &too_many_states,
+          &trailing}) {
+      specs.push_back(spec(kind, *broadcast));
+    }
+  }
+
+  // The refresh broadcast: an index kind past kRpq, an rpq entry whose
+  // automaton is cut short, and a stray byte after the entries.
+  std::vector<uint8_t> rows = ReachRowsSpec({0, 1, 2}).broadcast;
+  std::vector<uint8_t> unknown_index = rows;
+  unknown_index[1] = static_cast<uint8_t>(QueryKind::kRpq) + 1;
+  Encoder rpq_rows;
+  rpq_rows.PutVarint(1);
+  rpq_rows.PutU8(static_cast<uint8_t>(QueryKind::kRpq));
+  Canonicalize(*Query::Rpq(ex.pat, ex.mark, mk).automaton)
+      .automaton.Serialize(&rpq_rows);
+  std::vector<uint8_t> rows_truncated_automaton = rpq_rows.TakeBuffer();
+  rows_truncated_automaton.pop_back();
+  rows.push_back(0);
+  for (std::vector<uint8_t>* broadcast :
+       {&unknown_index, &rows_truncated_automaton, &rows}) {
+    specs.push_back(spec(RoundKind::kIndexRows, *broadcast));
+  }
+
+  for (size_t i = 0; i < specs.size(); ++i) {
     cluster.BeginQuery();
-    const auto replies = cluster.TryRoundAll(*spec, &local);
+    const auto replies = cluster.TryRoundAll(specs[i], &local);
     const RunMetrics books = cluster.EndQuery();
-    ASSERT_FALSE(replies.ok());
-    EXPECT_EQ(replies.status().code(), StatusCode::kCorruption);
+    ASSERT_FALSE(replies.ok()) << "spec " << i;
+    EXPECT_EQ(replies.status().code(), StatusCode::kCorruption)
+        << "spec " << i << ": " << replies.status().ToString();
     EXPECT_EQ(books.rounds, 0u);
     EXPECT_EQ(books.messages, 0u);
     EXPECT_EQ(books.traffic_bytes, 0u);
