@@ -1,8 +1,5 @@
 #include "src/engine/fragment_context.h"
 
-#include <algorithm>
-#include <map>
-
 namespace pereach {
 
 namespace {
@@ -100,40 +97,22 @@ const FragmentContext::DistRows& FragmentContext::dist_rows(
     const Fragment& f) {
   if (!dist_rows_.has_value()) {
     EnsureOset(f);
-    const std::vector<NodeId>& in_nodes = f.in_nodes();
-
-    // Unbounded multi-source level propagation: ForEachBoundedDistance is
-    // frontier-driven, so a bound beyond the local diameter terminates as
-    // soon as the frontier empties — one sweep serves every query bound.
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> per_in(
-        in_nodes.size());
-    if (!oset_locals_.empty() && !in_nodes.empty()) {
-      ForEachBoundedDistance(
-          f.local_graph(), in_nodes, oset_locals_, kInfDistance - 1,
-          kRowBlockBits,
-          [&per_in](uint32_t in_idx, uint32_t oset_idx, uint32_t hops) {
-            per_in[in_idx].emplace_back(oset_idx, hops);
-          });
-      // Emission is per BFS level, not per index; restore the ascending
-      // index order the delta encoding relies on.
-      for (auto& row : per_in) std::sort(row.begin(), row.end());
-    }
-
-    // Content grouping: in-nodes with bit-identical weighted rows share one
-    // group (an SCC does NOT imply equal distances, so this is the exact
-    // analogue of the reach rows' component grouping).
     DistRows rows;
-    rows.in_group.reserve(in_nodes.size());
-    std::map<std::vector<std::pair<uint32_t, uint32_t>>, uint32_t>
-        group_of_row;
-    for (size_t i = 0; i < in_nodes.size(); ++i) {
-      const auto [it, inserted] = group_of_row.emplace(
-          std::move(per_in[i]), static_cast<uint32_t>(rows.group_rep.size()));
-      if (inserted) {
-        rows.group_rep.push_back(in_nodes[i]);
-        rows.rows.push_back(it->first);
+    rows.oset_globals = oset_globals_;
+    rows.offsets.reserve(f.in_nodes().size() + 1);
+    rows.offsets.push_back(0);
+    // One unbounded BFS per in-node, read at the oset: the s-side sweep's
+    // computation (EncodeDistSweepFrame) without its bound.
+    for (NodeId in : f.in_nodes()) {
+      rows.in_globals.push_back(f.ToGlobal(in));
+      const std::vector<uint32_t> from_in = BfsDistances(f.local_graph(), in);
+      for (uint32_t j = 0; j < oset_locals_.size(); ++j) {
+        const uint32_t hops = from_in[oset_locals_[j]];
+        if (hops == kInfDistance) continue;
+        rows.targets.push_back(j);
+        rows.hops.push_back(hops);
       }
-      rows.in_group.push_back(it->second);
+      rows.offsets.push_back(rows.targets.size());
     }
     dist_rows_ = std::move(rows);
     ++section_builds_;

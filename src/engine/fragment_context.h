@@ -13,6 +13,7 @@
 #include "src/core/local_eval.h"
 #include "src/fragment/fragmentation.h"
 #include "src/graph/algorithms.h"
+#include "src/index/boundary_dist_index.h"
 #include "src/regex/query_automaton.h"
 #include "src/util/common.h"
 
@@ -28,8 +29,9 @@ namespace pereach {
 ///    group reaches locally — the whole query-independent part of localEval,
 ///    leaving only O(|cond|) per-query work for s and t;
 ///  - the dist rows: per in-node, the local shortest-path hop counts to the
-///    oset — the query-independent part of localEvald, feeding the
-///    coordinator's weighted boundary graph (BoundaryDistIndex);
+///    oset — localEvald's per-in-node equations without the bound, shipped
+///    as they are to the coordinator's weighted boundary graph
+///    (BoundaryDistIndex);
 ///  - the label index (regular reachability compatibility masks);
 ///  - the rpq products: per CANONICAL AUTOMATON (signature-keyed, LRU
 ///    capped), the fragment's label-compatible product graph and its
@@ -57,19 +59,12 @@ class FragmentContext {
   /// PartialEvalOptions::rpq_cache_entries).
   static constexpr size_t kDefaultRpqCacheCap = 8;
 
-  /// Weighted (min-plus) boundary rows: per in-node, the local shortest-path
-  /// hop count to every virtual node it reaches — the query-independent part
-  /// of localEvald, computed UNBOUNDED so one cache serves every query bound
-  /// (the per-query bound filter applies at lookup). Distances differ across
-  /// an SCC's members, so groups collapse by ROW CONTENT instead of by
-  /// component: members with bit-identical weighted rows share one group
-  /// (in particular, all boundary-blind in-nodes with empty rows).
-  struct DistRows {
-    std::vector<uint32_t> in_group;  // per f.in_nodes() position -> group
-    std::vector<NodeId> group_rep;   // group -> local id of its first in-node
-    // group -> ascending (oset index, local min hops).
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> rows;
-  };
+  /// Weighted (min-plus) boundary rows, one per in-node in f.in_nodes()
+  /// order: the local shortest-path hop count to every virtual node it
+  /// reaches — localEvald's equation of that in-node, computed UNBOUNDED so
+  /// one cache serves every query bound (the per-query bound filter applies
+  /// at lookup). Held in the wire form the refresh round ships.
+  using DistRows = WeightedBoundaryRows;
 
   /// Query-independent product structure of this fragment for ONE
   /// canonical automaton (regular reachability, §5): the label-compatible

@@ -93,9 +93,11 @@ bool DecodeEndpointNodes(const BoundaryReachIndex& index,
 /// distances spliced onto the t-side entry distances through one
 /// bidirectional Dijkstra over the standing graph (edges above the bound
 /// filtered), then the minimum with the local short-circuit. A reply is not
-/// trusted: false unless every seed is a boundary node of this epoch and
-/// every distance is within the bound (a site never ships a longer one),
-/// which also keeps the search's sums far from wrapping.
+/// trusted: false unless every exit is inside s's installed oset table,
+/// every entry is an in-node of this epoch and every distance is within the
+/// bound (a site never ships a longer one), which also keeps the search's
+/// sums far from wrapping. An exit whose oset entry is a dead end seeds
+/// nothing.
 bool DecodeDistance(BoundaryDistIndex* index, const Fragmentation& frag,
                     const Query& q, size_t wi,
                     std::vector<std::vector<Decoder>>* frames,
@@ -111,13 +113,15 @@ bool DecodeDistance(BoundaryDistIndex* index, const Fragmentation& frag,
     if (local_dist > q.bound) return false;
   }
   std::vector<BoundaryDistIndex::Seed> s_out;
-  const std::vector<NodeId>& oset = index->oset_globals(s_site);
+  const std::vector<uint32_t>& exits = index->oset_nodes(s_site);
   uint32_t prev = 0;
   for (size_t n = s_frame.GetCount(2); n > 0; --n) {
     prev += static_cast<uint32_t>(s_frame.GetVarint());
     const uint64_t hops = s_frame.GetVarint();
-    if (prev >= oset.size() || hops > q.bound) return false;
-    s_out.push_back({oset[prev], hops});
+    if (prev >= exits.size() || hops > q.bound) return false;
+    if (exits[prev] != BoundaryDistIndex::kNoNode) {
+      s_out.push_back({exits[prev], hops});
+    }
   }
 
   Decoder& t_frame = (*frames)[t_site][wi];
@@ -125,14 +129,10 @@ bool DecodeDistance(BoundaryDistIndex* index, const Fragmentation& frag,
   if (!(t_flags & kFrameHasT)) return false;
   std::vector<BoundaryDistIndex::Seed> t_in;
   for (size_t n = t_frame.GetCount(2); n > 0; --n) {
-    const uint64_t global = t_frame.GetVarint();
+    const uint32_t entry = index->InNode(t_frame.GetVarint());
     const uint64_t hops = t_frame.GetVarint();
-    if (global >= kInvalidNode ||
-        !index->IsBoundaryNode(static_cast<NodeId>(global)) ||
-        hops > q.bound) {
-      return false;
-    }
-    t_in.push_back({static_cast<NodeId>(global), hops});
+    if (entry == BoundaryDistIndex::kNoNode || hops > q.bound) return false;
+    t_in.push_back({entry, hops});
   }
   if (!s_frame.ok() || !t_frame.ok()) return false;
   *distance = std::min(local_dist, index->ShortestPath(s_out, t_in, q.bound));

@@ -300,24 +300,11 @@ std::vector<uint8_t> EncodeRpqRows(const Fragment& f, FragmentContext* ctx,
       });
 }
 
-/// Re-encodes a fragment's cached DistRows into the global-id
-/// WeightedBoundaryRows the coordinator's weighted boundary index consumes:
-/// the dist refresh round's reply bytes.
+/// The dist refresh round's reply: the fragment's cached dist rows, as
+/// they are.
 std::vector<uint8_t> EncodeDistRows(const Fragment& f, FragmentContext* ctx) {
-  const FragmentContext::DistRows& rows = ctx->dist_rows(f);
-  WeightedBoundaryRows out;
-  out.oset_globals = ctx->oset_globals(f);
-  out.rep_globals.reserve(rows.group_rep.size());
-  for (NodeId rep : rows.group_rep) out.rep_globals.push_back(f.ToGlobal(rep));
-  out.rows = rows.rows;
-  for (size_t i = 0; i < rows.in_group.size(); ++i) {
-    const NodeId in = f.in_nodes()[i];
-    const NodeId rep = rows.group_rep[rows.in_group[i]];
-    if (rep == in) continue;
-    out.aliases.emplace_back(f.ToGlobal(in), f.ToGlobal(rep));
-  }
   Encoder reply;
-  out.Serialize(&reply);
+  ctx->dist_rows(f).Serialize(&reply);
   return reply.TakeBuffer();
 }
 

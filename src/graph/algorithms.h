@@ -105,8 +105,9 @@ std::vector<uint32_t> ForEachReachableTargetGrouped(
 /// a target). Level-synchronous backward propagation of target bitsets along
 /// reversed edges, blocked like ForEachReachableTarget:
 /// O(bound * |E| * block_bits/64) per block, frontier-driven. For many
-/// sources AND many targets (localEvald, the cached dist rows); a sweep with
-/// one source or one target is one BfsDistances / BfsDistancesTo call.
+/// sources AND many targets under a query bound (localEvald). One source or
+/// one target — a sweep side, or one in-node's unbounded dist row — is one
+/// BfsDistances / BfsDistancesTo call.
 void ForEachBoundedDistance(
     const Graph& g, const std::vector<NodeId>& sources,
     const std::vector<NodeId>& targets, uint32_t bound, size_t block_bits,

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <queue>
-#include <unordered_set>
+#include <utility>
 
 #include "src/util/logging.h"
 
@@ -14,24 +14,21 @@ namespace pereach {
 void WeightedBoundaryRows::Serialize(Encoder* enc) const {
   enc->PutVarint(oset_globals.size());
   for (NodeId g : oset_globals) enc->PutVarint(g);
-  PEREACH_CHECK_EQ(rep_globals.size(), rows.size());
-  enc->PutVarint(rep_globals.size());
-  for (size_t g = 0; g < rep_globals.size(); ++g) {
-    enc->PutVarint(rep_globals[g]);
-    enc->PutVarint(rows[g].size());
-    // Ascending oset indices: delta-encode the index, varint the hop count
-    // (small on real partitions — most boundary hops are short).
-    uint32_t prev = 0;
-    for (const auto& [idx, hops] : rows[g]) {
-      enc->PutVarint(idx - prev);
-      enc->PutVarint(hops);
-      prev = idx;
-    }
+  PEREACH_CHECK_EQ(offsets.size(), in_globals.size() + 1);
+  enc->PutVarint(in_globals.size());
+  for (size_t i = 0; i < in_globals.size(); ++i) {
+    enc->PutVarint(in_globals[i]);
+    enc->PutVarint(offsets[i + 1] - offsets[i]);
   }
-  enc->PutVarint(aliases.size());
-  for (const auto& [member, rep] : aliases) {
-    enc->PutVarint(member);
-    enc->PutVarint(rep);
+  // Per row, ascending oset indices: delta-encode the index, varint the hop
+  // count (small on real partitions — most boundary hops are short).
+  for (size_t i = 0; i < in_globals.size(); ++i) {
+    uint32_t prev = 0;
+    for (size_t e = offsets[i]; e < offsets[i + 1]; ++e) {
+      enc->PutVarint(targets[e] - prev);
+      enc->PutVarint(hops[e]);
+      prev = targets[e];
+    }
   }
 }
 
@@ -39,36 +36,36 @@ WeightedBoundaryRows WeightedBoundaryRows::Deserialize(Decoder* dec) {
   WeightedBoundaryRows out;
   out.oset_globals.resize(dec->GetCount());
   for (NodeId& g : out.oset_globals) g = static_cast<NodeId>(dec->GetVarint());
-  const size_t groups = dec->GetCount();
-  out.rep_globals.resize(groups);
-  out.rows.resize(groups);
-  for (size_t g = 0; g < groups; ++g) {
-    out.rep_globals[g] = static_cast<NodeId>(dec->GetVarint());
-    out.rows[g].resize(dec->GetCount(2));
+  out.in_globals.resize(dec->GetCount(2));
+  out.offsets.reserve(out.in_globals.size() + 1);
+  out.offsets.push_back(0);
+  for (NodeId& in : out.in_globals) {
+    in = static_cast<NodeId>(dec->GetVarint());
+    out.offsets.push_back(out.offsets.back() + dec->GetCount(2));
+  }
+  // Every entry takes at least two bytes: check the rows fit before
+  // allocating them.
+  const size_t entries = out.offsets.back();
+  if (!dec->Require(entries <= dec->remaining() / 2,
+                    "weighted boundary rows: truncated rows")) {
+    return out;
+  }
+  out.targets.resize(entries);
+  out.hops.resize(entries);
+  for (size_t i = 0; i < out.in_globals.size(); ++i) {
     uint32_t prev = 0;
-    for (auto& [idx, hops] : out.rows[g]) {
+    for (size_t e = out.offsets[i]; e < out.offsets[i + 1]; ++e) {
       prev += static_cast<uint32_t>(dec->GetVarint());
-      idx = prev;
-      hops = static_cast<uint32_t>(dec->GetVarint());
-      if (!dec->Require(idx < out.oset_globals.size(),
+      out.hops[e] = static_cast<uint32_t>(dec->GetVarint());
+      if (!dec->Require(prev < out.oset_globals.size(),
                         "weighted boundary rows: oset index out of range")) {
         return out;
       }
+      out.targets[e] = prev;
     }
   }
-  // Ensure() binds every alias to its rep's group: validate that here, so
-  // a bad reply fails its decode instead of the rebuild.
-  const std::unordered_set<NodeId> reps(out.rep_globals.begin(),
-                                        out.rep_globals.end());
-  out.aliases.resize(dec->GetCount(2));
-  for (auto& [member, rep] : out.aliases) {
-    member = static_cast<NodeId>(dec->GetVarint());
-    rep = static_cast<NodeId>(dec->GetVarint());
-    if (!dec->Require(reps.contains(rep),
-                      "weighted boundary rows: alias to an unknown rep")) {
-      return out;
-    }
-  }
+  dec->Require(dec->remaining() == 0,
+               "weighted boundary rows: trailing bytes");
   return out;
 }
 
@@ -79,7 +76,9 @@ BoundaryDistIndex::BoundaryDistIndex(size_t num_fragments)
     : num_fragments_(num_fragments),
       fragment_rows_(num_fragments),
       have_rows_(num_fragments, false),
-      dirty_(num_fragments, true) {}
+      dirty_(num_fragments, true),
+      node_base_(num_fragments + 1, 0),
+      oset_nodes_(num_fragments) {}
 
 void BoundaryDistIndex::SetFragmentRows(SiteId site,
                                         WeightedBoundaryRows rows) {
@@ -109,10 +108,17 @@ std::vector<SiteId> BoundaryDistIndex::DirtySites() const {
   return out;
 }
 
-const std::vector<NodeId>& BoundaryDistIndex::oset_globals(SiteId site) const {
+const std::vector<uint32_t>& BoundaryDistIndex::oset_nodes(SiteId site) const {
+  PEREACH_CHECK(!stale_ && "Ensure() before querying");
   PEREACH_CHECK_LT(site, num_fragments_);
-  PEREACH_CHECK(have_rows_[site] && !dirty_[site]);
-  return fragment_rows_[site].oset_globals;
+  return oset_nodes_[site];
+}
+
+uint32_t BoundaryDistIndex::InNode(uint64_t global) const {
+  PEREACH_CHECK(!stale_ && "Ensure() before querying");
+  if (global >= kInvalidNode) return kNoNode;
+  const auto it = node_of_.find(static_cast<NodeId>(global));
+  return it == node_of_.end() ? kNoNode : it->second;
 }
 
 void BoundaryDistIndex::Ensure() {
@@ -122,96 +128,60 @@ void BoundaryDistIndex::Ensure() {
                   "Ensure with dirty fragments: refresh their rows first");
   }
 
-  // 1. Intern the boundary-node universe (global id -> dense id). Every
-  // virtual node is an in-node of the fragment storing its real copy, so
-  // interning reps, alias members and row targets covers the whole V_f.
+  size_t num_entries = 0;
   node_of_.clear();
-  auto intern = [this](NodeId g) {
-    return node_of_.emplace(g, static_cast<uint32_t>(node_of_.size()))
-        .first->second;
-  };
-  struct Edge {
-    uint32_t from;
-    uint32_t to;
-    uint32_t weight;
-  };
-  std::vector<Edge> edges;
-  // Shared-row groups get one AUX "row carrier" node: every member (the rep
-  // included) takes a 0-weight edge INTO the carrier and the carrier holds
-  // the fan-out once. A plain 0-weight member -> rep edge would be unsound:
-  // its REVERSE traversal lets a t-side entry seed at the rep leak onto the
-  // members, claiming dist(member, t) <= dist(rep, t) — but identical
-  // boundary rows say nothing about local distances to an arbitrary t. The
-  // carrier is one-way (members -> carrier -> targets), so search states at
-  // a member always mean the actual G-node, while "departs via the shared
-  // row" lives on the carrier — the aux-variable trick of the DAG equation
-  // form, applied to the standing graph. Singleton groups skip the carrier
-  // and keep the fan-out on the rep itself.
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const WeightedBoundaryRows& fr = fragment_rows_[s];
-    for (const NodeId g : fr.rep_globals) intern(g);
-    for (const auto& [member, rep] : fr.aliases) {
-      intern(member);
-      intern(rep);
+    node_base_[s + 1] =
+        node_base_[s] + static_cast<uint32_t>(fr.in_globals.size());
+    num_entries += fr.targets.size();
+    for (uint32_t i = 0; i < fr.in_globals.size(); ++i) {
+      node_of_.emplace(fr.in_globals[i], node_base_[s] + i);
     }
-    for (const NodeId g : fr.oset_globals) intern(g);
   }
-  // Carriers take dense ids after the whole boundary universe.
-  uint32_t next_aux = static_cast<uint32_t>(node_of_.size());
+  const uint32_t n = node_base_.back();
   for (SiteId s = 0; s < num_fragments_; ++s) {
-    const WeightedBoundaryRows& fr = fragment_rows_[s];
-    // Members per group: the rep plus every alias bound to it.
-    std::unordered_map<NodeId, uint32_t> group_of_rep;
-    std::vector<std::vector<uint32_t>> members(fr.rep_globals.size());
-    for (size_t g = 0; g < fr.rep_globals.size(); ++g) {
-      group_of_rep.emplace(fr.rep_globals[g], static_cast<uint32_t>(g));
-      members[g].push_back(intern(fr.rep_globals[g]));
-    }
-    for (const auto& [member, rep] : fr.aliases) {
-      const auto it = group_of_rep.find(rep);
-      // Deserialize already rejected rows with such an alias.
-      PEREACH_CHECK(it != group_of_rep.end() && "alias to an unknown rep");
-      members[it->second].push_back(intern(member));
-    }
-    for (size_t g = 0; g < fr.rep_globals.size(); ++g) {
-      const uint32_t carrier =
-          members[g].size() == 1 ? members[g][0] : next_aux++;
-      if (members[g].size() > 1) {
-        for (const uint32_t m : members[g]) {
-          edges.push_back({m, carrier, 0});
-        }
-      }
-      for (const auto& [idx, hops] : fr.rows[g]) {
-        edges.push_back({carrier, intern(fr.oset_globals[idx]), hops});
-      }
+    oset_nodes_[s].clear();
+    for (const NodeId g : fragment_rows_[s].oset_globals) {
+      const auto it = node_of_.find(g);
+      oset_nodes_[s].push_back(it == node_of_.end() ? kNoNode : it->second);
     }
   }
 
-  // 2. Forward and reverse CSR by counting sort — the graph is small (the
-  // paper's boundary measure |V_f| plus the carriers), the search just
-  // needs both directions.
-  const size_t n = next_aux;
-  fwd_offsets_.assign(n + 1, 0);
+  // Forward CSR straight from the rows, in node order; a dead-end entry
+  // gets no edge.
+  fwd_offsets_.assign(1, 0);
+  fwd_offsets_.reserve(n + 1);
+  fwd_targets_.clear();
+  fwd_targets_.reserve(num_entries);
+  fwd_weights_.clear();
+  fwd_weights_.reserve(num_entries);
+  for (SiteId s = 0; s < num_fragments_; ++s) {
+    const WeightedBoundaryRows& fr = fragment_rows_[s];
+    for (size_t i = 0; i < fr.in_globals.size(); ++i) {
+      for (size_t e = fr.offsets[i]; e < fr.offsets[i + 1]; ++e) {
+        const uint32_t to = oset_nodes_[s][fr.targets[e]];
+        if (to == kNoNode) continue;
+        fwd_targets_.push_back(to);
+        fwd_weights_.push_back(fr.hops[e]);
+      }
+      fwd_offsets_.push_back(fwd_targets_.size());
+    }
+  }
+
+  // Reverse CSR: one counting sort of the forward edges by target.
   rev_offsets_.assign(n + 1, 0);
-  for (const Edge& e : edges) {
-    ++fwd_offsets_[e.from + 1];
-    ++rev_offsets_[e.to + 1];
-  }
-  for (size_t v = 0; v < n; ++v) {
-    fwd_offsets_[v + 1] += fwd_offsets_[v];
-    rev_offsets_[v + 1] += rev_offsets_[v];
-  }
-  fwd_targets_.resize(edges.size());
-  fwd_weights_.resize(edges.size());
-  rev_targets_.resize(edges.size());
-  rev_weights_.resize(edges.size());
-  std::vector<size_t> fcur(fwd_offsets_.begin(), fwd_offsets_.end() - 1);
-  std::vector<size_t> rcur(rev_offsets_.begin(), rev_offsets_.end() - 1);
-  for (const Edge& e : edges) {
-    fwd_targets_[fcur[e.from]] = e.to;
-    fwd_weights_[fcur[e.from]++] = e.weight;
-    rev_targets_[rcur[e.to]] = e.from;
-    rev_weights_[rcur[e.to]++] = e.weight;
+  for (const uint32_t to : fwd_targets_) ++rev_offsets_[to + 1];
+  for (uint32_t v = 0; v < n; ++v) rev_offsets_[v + 1] += rev_offsets_[v];
+  rev_targets_.resize(fwd_targets_.size());
+  rev_weights_.resize(fwd_targets_.size());
+  std::vector<size_t> cursor(rev_offsets_.begin(), rev_offsets_.end() - 1);
+  for (uint32_t u = 0; u < n; ++u) {
+    for (size_t e = fwd_offsets_[u]; e < fwd_offsets_[u + 1]; ++e) {
+      const size_t at = cursor[fwd_targets_[e]]++;
+      rev_targets_[at] = u;
+      rev_weights_[at] = fwd_weights_[e];
+    }
   }
 
   for (auto& d : dist_) d.assign(n, kInfWeight);
@@ -219,18 +189,6 @@ void BoundaryDistIndex::Ensure() {
   visit_version_ = 0;
   stale_ = false;
   ++rebuild_count_;
-}
-
-bool BoundaryDistIndex::IsBoundaryNode(NodeId global) const {
-  PEREACH_CHECK(!stale_ && "Ensure() before querying");
-  return node_of_.contains(global);
-}
-
-uint32_t BoundaryDistIndex::DenseOf(NodeId global) const {
-  const auto it = node_of_.find(global);
-  PEREACH_CHECK(it != node_of_.end() &&
-                "search seed is not a boundary node of this epoch");
-  return it->second;
 }
 
 uint64_t BoundaryDistIndex::ShortestPath(std::span<const Seed> sources,
@@ -263,13 +221,19 @@ uint64_t BoundaryDistIndex::ShortestPath(std::span<const Seed> sources,
       best = std::min(best, d + dist_[other][v]);
     }
   };
-  for (const Seed& s : sources) relax(0, DenseOf(s.node), s.dist);
-  for (const Seed& t : targets) relax(1, DenseOf(t.node), t.dist);
+  for (const Seed& s : sources) {
+    PEREACH_CHECK_LT(s.node, node_base_.back());
+    relax(0, s.node, s.dist);
+  }
+  for (const Seed& t : targets) {
+    PEREACH_CHECK_LT(t.node, node_base_.back());
+    relax(1, t.node, t.dist);
+  }
 
   // Both frontiers expand toward each other; an incumbent is optimal once
   // the two frontier tops can no longer combine below it. `best` is updated
-  // on every relaxation (not just on settle), which makes that stop rule
-  // sound with 0-weight alias edges in the graph.
+  // on every relaxation, not just on settle, so the rule holds for any
+  // non-negative weights.
   while (!heap[0].empty() || !heap[1].empty()) {
     const uint64_t top0 = heap[0].empty() ? kInfWeight : heap[0].top().first;
     const uint64_t top1 = heap[1].empty() ? kInfWeight : heap[1].top().first;
@@ -303,11 +267,12 @@ size_t BoundaryDistIndex::ByteSize() const {
       node_of_.size() * (sizeof(NodeId) + sizeof(uint32_t)) +
       (fwd_offsets_.size() + rev_offsets_.size()) * sizeof(size_t) +
       (fwd_targets_.size() + rev_targets_.size()) * 2 * sizeof(uint32_t);
-  for (const WeightedBoundaryRows& fr : fragment_rows_) {
-    bytes += fr.oset_globals.size() * sizeof(NodeId) +
-             fr.rep_globals.size() * sizeof(NodeId) +
-             fr.aliases.size() * sizeof(fr.aliases[0]);
-    for (const auto& row : fr.rows) bytes += row.size() * sizeof(row[0]);
+  for (size_t s = 0; s < num_fragments_; ++s) {
+    const WeightedBoundaryRows& fr = fragment_rows_[s];
+    bytes += fr.offsets.size() * sizeof(size_t) +
+             (fr.targets.size() + fr.hops.size()) * sizeof(uint32_t) +
+             (fr.oset_globals.size() + fr.in_globals.size()) * sizeof(NodeId) +
+             oset_nodes_[s].size() * sizeof(uint32_t);
   }
   return bytes;
 }

@@ -2,9 +2,9 @@
 #define PEREACH_INDEX_BOUNDARY_DIST_INDEX_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "src/bes/distance_system.h"
@@ -13,45 +13,41 @@
 
 namespace pereach {
 
-/// Query-independent WEIGHTED boundary rows of ONE fragment, as shipped to
-/// the coordinator by the dist-index refresh round — the min-plus twin of
-/// the closure rows. A re-encoding of FragmentContext::DistRows with local
-/// ids resolved to globals:
+/// Query-independent WEIGHTED boundary rows of ONE fragment: localEvald's
+/// min-plus equation of every in-node, unbounded, in CSR form. The site
+/// builds them (FragmentContext::dist_rows), the dist-index refresh round
+/// ships them, and the coordinator's index keeps them as shipped.
 ///  - `oset_globals` is the fragment's virtual-node table (ascending local
 ///    order, the same table the reach index ships);
-///  - one row per DISTINCT-ROW GROUP of in-nodes: the group representative's
-///    global id plus the ascending (oset index, local shortest-path hops)
-///    pairs the group reaches locally;
-///  - one alias per non-representative member, binding it to the group rep.
-///    Unlike the closure rows' SCC groups, a dist alias asserts the member's
-///    whole weighted row is IDENTICAL to the rep's (distances differ across
-///    an SCC's members, so same-SCC is not sufficient here); the coordinator
-///    realizes each shared-row group as a one-way aux "row carrier" node
-///    (member -> carrier at weight 0, carrier -> targets), which is exact
-///    precisely because the rows coincide — see Ensure() for why a direct
-///    member -> rep edge would not be.
+///  - `in_globals` lists the in-nodes (ascending local order);
+///  - in-node i's row is targets/hops[offsets[i] .. offsets[i + 1]): the
+///    oset index of every virtual node it reaches locally, ascending, and
+///    the local shortest-path hop count to it.
+/// Rows are never shared: distances differ across an SCC's members.
 struct WeightedBoundaryRows {
   std::vector<NodeId> oset_globals;
-  std::vector<NodeId> rep_globals;  // one per group
-  // group -> ascending (oset index, local min hops).
-  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> rows;
-  // (member global, rep global) for every in-node that is not its group rep.
-  std::vector<std::pair<NodeId, NodeId>> aliases;
+  std::vector<NodeId> in_globals;
+  std::vector<size_t> offsets;    // in_globals.size() + 1 entries
+  std::vector<uint32_t> targets;  // oset indices
+  std::vector<uint32_t> hops;
 
   void Serialize(Encoder* enc) const;
+  /// Tolerant in kStatus mode: a target at or past the oset table, a
+  /// truncated row or a byte after the last row fails the decode.
   static WeightedBoundaryRows Deserialize(Decoder* dec);
 };
 
 /// Coordinator-side shortest-path index over the WEIGHTED boundary
-/// dependency graph: one node per boundary node of the fragmentation and an
-/// edge u -> w of weight d whenever u's fragment can route a local path of d
-/// hops from u to its virtual copy of w. The edges are exactly the terms the
-/// per-query min-plus BES (DistanceEquationSystem) would assemble from every
-/// site's localEvald reply — materialized ONCE from the cached
-/// FragmentContext::DistRows instead of re-shipped per query — so a
-/// bidirectional Dijkstra over this standing graph, seeded with the s-side
-/// exit distances and t-side entry distances of one targeted round, computes
-/// the same least fixpoint as the paper's evalDGd.
+/// dependency graph: one node per in-node of the fragmentation — fragment
+/// s's in-node i is node node_base_[s] + i — and an edge u -> w of weight d
+/// whenever u's row reaches w's virtual copy in d local hops (cross edge
+/// included). Every virtual node is an in-node of the fragment storing its
+/// real copy, so the nodes are the whole boundary. The edges are exactly
+/// the terms the per-query min-plus BES (DistanceEquationSystem) would
+/// assemble from every site's localEvald reply — shipped ONCE instead of
+/// per query — so a bidirectional Dijkstra over this standing graph,
+/// seeded with the s-side exit distances and t-side entry distances of one
+/// targeted round, computes the same least fixpoint as the paper's evalDGd.
 ///
 /// Bound semantics: localEvald only emits local segments of <= l hops, so
 /// the assembled BES never contains a heavier edge. ShortestPath takes the
@@ -62,11 +58,14 @@ struct WeightedBoundaryRows {
 ///
 /// Incremental maintenance and thread-safety mirror BoundaryReachIndex: the
 /// owner marks fragments dirty on the InvalidateFragment path, re-fetches
-/// only the dirty fragments' rows, and Ensure() rebuilds the small CSR pair
-/// (forward + reverse) from the per-fragment row cache. No internal locking;
+/// only the dirty fragments' rows, and Ensure() rebuilds the CSR pair
+/// (forward + reverse) from the per-fragment rows. No internal locking;
 /// the engine's single-dispatcher discipline provides the exclusion.
 class BoundaryDistIndex {
  public:
+  /// What InNode() and oset_nodes() hold for a global that is no in-node.
+  static constexpr uint32_t kNoNode = std::numeric_limits<uint32_t>::max();
+
   explicit BoundaryDistIndex(size_t num_fragments);
 
   /// Installs the weighted boundary rows of one fragment and clears its
@@ -85,35 +84,38 @@ class BoundaryDistIndex {
   /// Requires DirtySites() empty. Idempotent when clean.
   void Ensure();
 
-  /// The fragment's virtual-node table, as installed by SetFragmentRows —
-  /// dist sweep frames reference it by index.
-  const std::vector<NodeId>& oset_globals(SiteId site) const;
+  /// The node of each entry of the fragment's installed oset table — dist
+  /// sweep frames name exits by oset index — or kNoNode for an entry no
+  /// fragment lists as an in-node (only a forged table has one): a dead
+  /// end, with no node and no edge into it.
+  const std::vector<uint32_t>& oset_nodes(SiteId site) const;
 
-  /// One endpoint-side seed of a search: a boundary node plus the
-  /// query-dependent distance from s to it (forward side) or from it to t
-  /// (backward side), both already <= the query bound by construction.
+  /// The node of in-node `global`, or kNoNode when no fragment of the
+  /// current epoch lists it — the check every entry taken from a site reply
+  /// passes through.
+  uint32_t InNode(uint64_t global) const;
+
+  /// One endpoint-side seed of a search: a node plus the query-dependent
+  /// distance from s to it (forward side) or from it to t (backward side),
+  /// both already <= the query bound by construction.
   struct Seed {
-    NodeId node = kInvalidNode;
+    uint32_t node = kNoNode;
     uint64_t dist = 0;
   };
-
-  /// True iff `global` is a boundary node of the current epoch — a valid
-  /// search seed. Callers seeding from a site reply check this first.
-  bool IsBoundaryNode(NodeId global) const;
 
   /// min over (u, v) of sources[u].dist + d_B(u -> v) + targets[v].dist,
   /// where d_B is the boundary-graph distance using only edges of weight
   /// <= max_edge_weight; kInfWeight when no such route exists. Bidirectional
   /// Dijkstra: both frontiers expand toward each other and the search stops
-  /// once the frontier tops prove the incumbent optimal. Seeds naming nodes
-  /// of the current epoch only (IsBoundaryNode); CHECK-fails otherwise.
+  /// once the frontier tops prove the incumbent optimal. Seeds name nodes
+  /// of the current epoch only (InNode, oset_nodes); CHECK-fails otherwise.
   uint64_t ShortestPath(std::span<const Seed> sources,
                         std::span<const Seed> targets,
                         uint32_t max_edge_weight);
 
   // --- observability -------------------------------------------------------
-  /// Real boundary nodes (aux row carriers excluded).
-  size_t num_boundary_nodes() const { return node_of_.size(); }
+  /// Nodes of the graph: the fragments' in-nodes, summed.
+  size_t num_boundary_nodes() const { return node_base_.back(); }
   size_t num_edges() const { return fwd_targets_.size(); }
   /// Full CSR rebuilds performed (dirty-epoch count).
   size_t rebuild_count() const { return rebuild_count_; }
@@ -126,8 +128,6 @@ class BoundaryDistIndex {
   size_t ByteSize() const;
 
  private:
-  uint32_t DenseOf(NodeId global) const;
-
   size_t num_fragments_;
   std::vector<WeightedBoundaryRows> fragment_rows_;
   std::vector<bool> have_rows_;
@@ -136,7 +136,9 @@ class BoundaryDistIndex {
 
   // Rebuilt structure (valid while !stale_). Forward CSR answers the s-side
   // frontier, reverse CSR the t-side frontier.
-  std::unordered_map<NodeId, uint32_t> node_of_;  // boundary global -> dense
+  std::vector<uint32_t> node_base_;                // num_fragments_ + 1
+  std::unordered_map<NodeId, uint32_t> node_of_;   // in-node global -> node
+  std::vector<std::vector<uint32_t>> oset_nodes_;  // per fragment
   std::vector<size_t> fwd_offsets_;
   std::vector<uint32_t> fwd_targets_;
   std::vector<uint32_t> fwd_weights_;

@@ -12,8 +12,8 @@ namespace pereach {
 // --- BitsetSweep -----------------------------------------------------------
 
 void BitsetSweep::Resize(size_t num_nodes) {
-  mask_.assign(num_nodes, Lanes64{});
-  tmask_.assign(num_nodes, Lanes64{});
+  mask_.assign(num_nodes, 0);
+  tmask_.assign(num_nodes, 0);
   pending_.assign(num_nodes, 0);
   dirty_.assign(num_nodes, 0);
   touched_.clear();
@@ -36,8 +36,8 @@ void BitsetSweep::SeedSources(uint32_t node, uint64_t lanes) {
   PEREACH_CHECK_LT(node, mask_.size());
   Touch(node);
   // Reflexive: the node may already carry these lanes as a target.
-  seed_hits_ |= lanes & tmask_[node].word(0);
-  mask_[node].set_word(0, mask_[node].word(0) | lanes);
+  seed_hits_ |= lanes & tmask_[node];
+  mask_[node] |= lanes;
   pending_[node] = 1;
   max_seed_ = have_seed_ ? std::max(max_seed_, node) : node;
   have_seed_ = true;
@@ -46,8 +46,8 @@ void BitsetSweep::SeedSources(uint32_t node, uint64_t lanes) {
 void BitsetSweep::SeedTargets(uint32_t node, uint64_t lanes) {
   PEREACH_CHECK_LT(node, tmask_.size());
   Touch(node);
-  seed_hits_ |= lanes & mask_[node].word(0);
-  tmask_[node].set_word(0, tmask_[node].word(0) | lanes);
+  seed_hits_ |= lanes & mask_[node];
+  tmask_[node] |= lanes;
   min_target_ = have_target_ ? std::min(min_target_, node) : node;
   have_target_ = true;
 }
@@ -65,7 +65,7 @@ uint64_t BitsetSweep::Run(std::span<const size_t> offsets,
     // decrease along every edge), hence the min_target_ floor.
     for (uint32_t c = max_seed_ + 1; c-- > min_target_;) {
       if (!pending_[c]) continue;
-      const uint64_t m = mask_[c].word(0) & remaining;
+      const uint64_t m = mask_[c] & remaining;
       if (m == 0) continue;
       ++last_depth_;
       for (size_t e = offsets[c]; e < offsets[c + 1]; ++e) {
@@ -75,13 +75,13 @@ uint64_t BitsetSweep::Run(std::span<const size_t> offsets,
         // Push-time target check: lanes resolve the moment their frontier
         // lands on a target, so the sweep (and its depth) stops early on
         // all-positive words.
-        const uint64_t hit = m & tmask_[v].word(0);
+        const uint64_t hit = m & tmask_[v];
         if (hit != 0) {
           result |= hit;
           remaining &= ~hit;
           if (remaining == 0) break;
         }
-        mask_[v].set_word(0, mask_[v].word(0) | m);
+        mask_[v] |= m;
         pending_[v] = 1;
       }
       if (remaining == 0) break;
@@ -89,8 +89,8 @@ uint64_t BitsetSweep::Run(std::span<const size_t> offsets,
   }
   // Consume the seeds: O(touched) re-clear readies the next word.
   for (const uint32_t t : touched_) {
-    mask_[t].Clear();
-    tmask_[t].Clear();
+    mask_[t] = 0;
+    tmask_[t] = 0;
     pending_[t] = 0;
     dirty_[t] = 0;
   }

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "src/util/common.h"
-#include "src/util/fixed_bitset.h"
 #include "src/util/logging.h"
 #include "src/util/sync.h"
 
@@ -34,7 +33,7 @@ struct WordQuestion {
 /// back-to-back runs cost O(touched), not O(num_nodes).
 class BitsetSweep {
  public:
-  static constexpr size_t kLanes = Lanes64::kNumBits;
+  static constexpr size_t kLanes = 64;  // one bit of a uint64_t per lane
 
   /// Sizes the scratch for graphs of `num_nodes` nodes (all masks clear).
   void Resize(size_t num_nodes);
@@ -60,8 +59,8 @@ class BitsetSweep {
   /// Registers `node` in the touched list on first contact of a run.
   void Touch(uint32_t node);
 
-  std::vector<Lanes64> mask_;    // lanes whose sources reach the node
-  std::vector<Lanes64> tmask_;   // lanes for which the node is a target
+  std::vector<uint64_t> mask_;     // lanes whose sources reach the node
+  std::vector<uint64_t> tmask_;    // lanes for which the node is a target
   std::vector<uint8_t> pending_;  // node carries unexpanded source mass
   std::vector<uint8_t> dirty_;     // node is on the touched list
   std::vector<uint32_t> touched_;  // nodes to re-clear after the run

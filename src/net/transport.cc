@@ -410,8 +410,7 @@ class SocketTransport : public Transport {
       MutexLock lock(&frag_mu_);
       for (SiteId s = 0; s < k; ++s) {
         conns_.push_back(std::make_unique<Connection>());
-        conns_.back()->jitter_state =
-            SplitMix64(options_.backoff_jitter_seed + s);
+        conns_.back()->jitter_state = SplitMix64(1 + s);
         frag_bytes_.push_back(SerializeFragment(fragmentation_->fragment(s)));
         fault_killed_[s].store(false, std::memory_order_relaxed);
       }

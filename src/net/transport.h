@@ -70,11 +70,9 @@ struct TransportOptions {
   /// handshake) within one attempt at a site's round share.
   int max_retries = 2;
   /// Base backoff between establishment retries; attempt i sleeps about i
-  /// times this long, jittered by `backoff_jitter_seed` so a multi-worker
-  /// restart doesn't retry in lockstep.
+  /// times this long, times a per-connection jitter in [0.5, 1.5) so a
+  /// multi-worker restart doesn't retry in lockstep.
   int retry_backoff_ms = 50;
-  /// Seed of the per-connection backoff jitter (multiplier in [0.5, 1.5)).
-  uint64_t backoff_jitter_seed = 1;
   /// Upper bound on one wire message's declared length. A peer announcing
   /// more is corrupt (or hostile) and is disconnected before any allocation.
   size_t max_frame_bytes = size_t{256} << 20;
@@ -138,8 +136,9 @@ struct RoundSpec {
 // WireMessage tag; replies start with a status byte. See DESIGN.md §13.
 
 // Bumped whenever a message or reply format changes, so a stale worker fails
-// at Hello instead of decoding garbage.
-inline constexpr uint8_t kWireVersion = 4;
+// at Hello instead of decoding garbage. 5: dist refresh rows are one CSR
+// row per in-node (WeightedBoundaryRows), with no groups or aliases.
+inline constexpr uint8_t kWireVersion = 5;
 
 enum class WireMessage : uint8_t {
   kHello = 0,     // u8 version, varint site, fragment bytes -> ok reply

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/util/fixed_bitset.h"
 #include "src/util/random.h"
 
 namespace pereach {
@@ -135,61 +134,6 @@ TEST(BitsetTest, UnionMatchesReferenceUnion) {
     std::vector<size_t> expected(ra.begin(), ra.end());
     EXPECT_EQ(a.ToVector(), expected);
   }
-}
-
-// ---------------------------------------------------------------------------
-// FixedBitset — the inline fixed-width sibling (Lanes64 = FixedBitset<1> is
-// the 64-lane mask of the bit-parallel batch sweep).
-
-TEST(FixedBitsetTest, BasicOperations) {
-  Lanes64 b;
-  EXPECT_TRUE(b.None());
-  EXPECT_EQ(b.size(), 64u);
-  b.Set(0);
-  b.Set(63);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(63));
-  EXPECT_FALSE(b.Test(31));
-  EXPECT_EQ(b.Count(), 2u);
-  b.Reset(0);
-  EXPECT_FALSE(b.Test(0));
-  EXPECT_TRUE(b.Any());
-  b.Clear();
-  EXPECT_TRUE(b.None());
-}
-
-TEST(FixedBitsetTest, WordAccessAndBitFactory) {
-  Lanes64 b = Lanes64::Bit(5);
-  EXPECT_EQ(b.word(0), uint64_t{1} << 5);
-  b.set_word(0, 0xff);
-  EXPECT_EQ(b.Count(), 8u);
-  EXPECT_TRUE(b.Test(7));
-  EXPECT_FALSE(b.Test(8));
-}
-
-TEST(FixedBitsetTest, MultiWordOperators) {
-  FixedBitset<3> a, b;
-  a.Set(0);
-  a.Set(64);     // word 1
-  a.Set(191);    // word 2, last bit
-  b.Set(64);
-  b.Set(100);
-  EXPECT_TRUE(a.Intersects(b));
-  EXPECT_EQ((a & b).Count(), 1u);
-  EXPECT_EQ((a | b).Count(), 4u);
-  FixedBitset<3> c = a;
-  EXPECT_FALSE(c.UnionWith(a));  // already a superset of itself
-  EXPECT_TRUE(c.UnionWith(b));
-  EXPECT_EQ(c, a | b);
-}
-
-TEST(FixedBitsetTest, ForEachSetBitAscending) {
-  FixedBitset<2> b;
-  const std::vector<size_t> expected = {0, 1, 63, 64, 100, 127};
-  for (size_t i : expected) b.Set(i);
-  std::vector<size_t> got;
-  b.ForEachSetBit([&](size_t i) { got.push_back(i); });
-  EXPECT_EQ(got, expected);
 }
 
 }  // namespace

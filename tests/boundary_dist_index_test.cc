@@ -42,9 +42,10 @@ using testing_util::RandomPartition;
 TEST(WeightedBoundaryRowsTest, SerializeRoundTrips) {
   WeightedBoundaryRows rows;
   rows.oset_globals = {3, 9, 40, 77};
-  rows.rep_globals = {12, 25};
-  rows.rows = {{{0, 2}, {2, 7}, {3, 1}}, {}};
-  rows.aliases = {{14, 12}, {30, 25}};
+  rows.in_globals = {12, 25, 14};
+  rows.offsets = {0, 3, 3, 5};  // in-node 25's row is empty
+  rows.targets = {0, 2, 3, 1, 3};
+  rows.hops = {2, 7, 1, 4, 130};
 
   Encoder enc;
   rows.Serialize(&enc);
@@ -52,9 +53,10 @@ TEST(WeightedBoundaryRowsTest, SerializeRoundTrips) {
   const WeightedBoundaryRows back = WeightedBoundaryRows::Deserialize(&dec);
   EXPECT_TRUE(dec.Done());
   EXPECT_EQ(back.oset_globals, rows.oset_globals);
-  EXPECT_EQ(back.rep_globals, rows.rep_globals);
-  EXPECT_EQ(back.rows, rows.rows);
-  EXPECT_EQ(back.aliases, rows.aliases);
+  EXPECT_EQ(back.in_globals, rows.in_globals);
+  EXPECT_EQ(back.offsets, rows.offsets);
+  EXPECT_EQ(back.targets, rows.targets);
+  EXPECT_EQ(back.hops, rows.hops);
 }
 
 // ---------------------------------------------------------------------------
@@ -62,39 +64,43 @@ TEST(WeightedBoundaryRowsTest, SerializeRoundTrips) {
 
 // Two fragments: F0's in-node 10 reaches virtual 20 at 2 hops and virtual 30
 // at 5; F1's in-nodes 20 and 30 both reach virtual 10 at 3 hops (identical
-// rows, so 30 aliases to 20) and in-node 40 reaches nothing.
+// rows, each its own) and in-node 40 reaches nothing.
 TEST(BoundaryDistIndexTest, HandBuiltGraphAnswersAndInvalidates) {
   BoundaryDistIndex index(2);
   EXPECT_EQ(index.DirtySites().size(), 2u);
 
   WeightedBoundaryRows f0;
   f0.oset_globals = {20, 30};
-  f0.rep_globals = {10};
-  f0.rows = {{{0, 2}, {1, 5}}};
+  f0.in_globals = {10};
+  f0.offsets = {0, 2};
+  f0.targets = {0, 1};
+  f0.hops = {2, 5};
   index.SetFragmentRows(0, std::move(f0));
 
   WeightedBoundaryRows f1;
   f1.oset_globals = {10};
-  f1.rep_globals = {20, 40};
-  f1.rows = {{{0, 3}}, {}};
-  f1.aliases = {{30, 20}};
+  f1.in_globals = {20, 30, 40};
+  f1.offsets = {0, 1, 2, 2};
+  f1.targets = {0, 0};
+  f1.hops = {3, 3};
   index.SetFragmentRows(1, std::move(f1));
 
   EXPECT_TRUE(index.DirtySites().empty());
   index.Ensure();
   EXPECT_EQ(index.rebuild_count(), 1u);
   EXPECT_EQ(index.num_boundary_nodes(), 4u);  // 10, 20, 30, 40
+  EXPECT_EQ(index.InNode(77), BoundaryDistIndex::kNoNode);
 
   const auto path = [&index](NodeId u, NodeId v, uint32_t max_edge) {
-    const BoundaryDistIndex::Seed s[] = {{u, 0}};
-    const BoundaryDistIndex::Seed t[] = {{v, 0}};
+    const BoundaryDistIndex::Seed s[] = {{index.InNode(u), 0}};
+    const BoundaryDistIndex::Seed t[] = {{index.InNode(v), 0}};
     return index.ShortestPath(s, t, max_edge);
   };
   EXPECT_EQ(path(10, 10, 100), 0u);  // seeds meet at the same node
   EXPECT_EQ(path(10, 20, 100), 2u);
   EXPECT_EQ(path(10, 30, 100), 5u);
   EXPECT_EQ(path(20, 10, 100), 3u);
-  EXPECT_EQ(path(30, 10, 100), 3u);  // via its 0-weight alias edge to 20
+  EXPECT_EQ(path(30, 10, 100), 3u);
   EXPECT_EQ(path(20, 30, 100), 3u + 5u);  // 20 -> 10 -> 30
   EXPECT_EQ(path(40, 10, 100), kInfWeight);
   EXPECT_EQ(path(10, 40, 100), kInfWeight);
@@ -104,8 +110,9 @@ TEST(BoundaryDistIndexTest, HandBuiltGraphAnswersAndInvalidates) {
   EXPECT_EQ(path(20, 30, 4), kInfWeight);  // the 5-hop closing edge is out
 
   // Seed distances add onto the path, and the minimum over seed pairs wins.
-  const BoundaryDistIndex::Seed multi_s[] = {{10, 7}, {40, 0}};
-  const BoundaryDistIndex::Seed multi_t[] = {{20, 1}};
+  const BoundaryDistIndex::Seed multi_s[] = {{index.InNode(10), 7},
+                                             {index.InNode(40), 0}};
+  const BoundaryDistIndex::Seed multi_t[] = {{index.InNode(20), 1}};
   EXPECT_EQ(index.ShortestPath(multi_s, multi_t, 100), 7u + 2u + 1u);
 
   // Invalidation marks exactly the touched fragment dirty; a clean Ensure
@@ -116,13 +123,59 @@ TEST(BoundaryDistIndexTest, HandBuiltGraphAnswersAndInvalidates) {
   EXPECT_EQ(index.DirtySites(), std::vector<SiteId>{1});
   WeightedBoundaryRows f1b;
   f1b.oset_globals = {10};
-  f1b.rep_globals = {20, 40};
-  f1b.rows = {{{0, 3}}, {{0, 1}}};  // 40 now reaches virtual 10 in one hop
-  f1b.aliases = {{30, 20}};
+  f1b.in_globals = {20, 30, 40};
+  f1b.offsets = {0, 1, 2, 3};
+  f1b.targets = {0, 0, 0};
+  f1b.hops = {3, 3, 1};  // 40 now reaches virtual 10 in one hop
   index.SetFragmentRows(1, std::move(f1b));
   index.Ensure();
   EXPECT_EQ(index.rebuild_count(), 2u);
   EXPECT_EQ(path(40, 30, 100), 1u + 5u);  // 40 -> 10 -> 30
+}
+
+// ---------------------------------------------------------------------------
+// Dist rows against a local all-pairs oracle
+
+// Every in-node's row lists exactly its finite local distances to the
+// virtual nodes, ascending by oset index: AllPairsDistances restricted to
+// (in-node, virtual node) pairs.
+TEST(DistRowsTest, MatchLocalAllPairsDistances) {
+  constexpr size_t kSites = 3;
+  Rng rng(7207);
+  for (const auto& partitioner : AllPartitioners()) {
+    for (int trial = 0; trial < 4; ++trial) {
+      const size_t n = 12 + rng.Uniform(30);
+      const Graph g = ErdosRenyi(n, 2 * n + rng.Uniform(n), 1, &rng);
+      const Fragmentation frag = Fragmentation::Build(
+          g, partitioner->Partition(g, kSites, &rng), kSites);
+      for (SiteId site = 0; site < kSites; ++site) {
+        SCOPED_TRACE(partitioner->name() + " trial " + std::to_string(trial) +
+                     " site " + std::to_string(site));
+        const Fragment& f = frag.fragment(site);
+        FragmentContext ctx;
+        const std::vector<std::vector<uint32_t>> apd =
+            AllPairsDistances(f.local_graph());
+        const std::vector<NodeId>& oset_locals = ctx.oset_locals(f);
+        const FragmentContext::DistRows& rows = ctx.dist_rows(f);
+        EXPECT_EQ(rows.oset_globals, ctx.oset_globals(f));
+        ASSERT_EQ(rows.in_globals.size(), f.in_nodes().size());
+        ASSERT_EQ(rows.offsets.size(), f.in_nodes().size() + 1);
+        for (size_t i = 0; i < f.in_nodes().size(); ++i) {
+          const NodeId in = f.in_nodes()[i];
+          EXPECT_EQ(rows.in_globals[i], f.ToGlobal(in));
+          std::vector<std::pair<uint32_t, uint32_t>> want, got;
+          for (uint32_t j = 0; j < oset_locals.size(); ++j) {
+            const uint32_t d = apd[in][oset_locals[j]];
+            if (d != kInfDistance) want.emplace_back(j, d);
+          }
+          for (size_t e = rows.offsets[i]; e < rows.offsets[i + 1]; ++e) {
+            got.emplace_back(rows.targets[e], rows.hops[e]);
+          }
+          EXPECT_EQ(got, want) << "in-node " << f.ToGlobal(in);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

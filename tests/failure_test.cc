@@ -91,35 +91,41 @@ TEST(FailureTest, CorruptedPartialAnswerAborts) {
 }
 
 // The weighted boundary rows decoder checks content, not only framing: a
-// row naming an oset index past its table, or an alias naming no rep, fails
-// a kStatus decode — the engine then rejects the batch and keeps the site
-// dirty — instead of CHECK-aborting the coordinator in
+// row naming an oset index past its table, a row cut short and a byte after
+// the last row each fail a kStatus decode — the engine then rejects the
+// batch and keeps the site dirty — instead of indexing past a table in
 // BoundaryDistIndex::Ensure.
-TEST(FailureTest, WeightedRowsDecoderRejectsOsetIndexPastTable) {
+TEST(FailureTest, WeightedRowsDecoderRejectsEveryBrokenInvariant) {
   WeightedBoundaryRows rows;
   rows.oset_globals = {3, 9};
-  rows.rep_globals = {12, 25};
-  rows.rows = {{{0, 2}}, {{1, 1}, {2, 4}}};  // index 2 of a 2-entry table
+  rows.in_globals = {12, 25};
+  rows.offsets = {0, 1, 3};
+  rows.targets = {0, 1, 1};
+  rows.hops = {2, 1, 4};
   Encoder enc;
   rows.Serialize(&enc);
-  Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
-  (void)WeightedBoundaryRows::Deserialize(&dec);
-  EXPECT_FALSE(dec.ok());
-  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
-}
+  const std::vector<uint8_t> honest = enc.TakeBuffer();
 
-TEST(FailureTest, WeightedRowsDecoderRejectsAliasToUnknownRep) {
-  WeightedBoundaryRows rows;
-  rows.oset_globals = {3};
-  rows.rep_globals = {12};
-  rows.rows = {{{0, 1}}};
-  rows.aliases = {{14, 12}, {15, 99}};  // 99 is no rep
-  Encoder enc;
-  rows.Serialize(&enc);
-  Decoder dec(enc.buffer(), Decoder::OnError::kStatus);
+  std::vector<std::pair<std::string, std::vector<uint8_t>>> broken;
+  rows.targets.back() = 2;  // index 2 of a 2-entry table
+  Encoder past_table;
+  rows.Serialize(&past_table);
+  broken.emplace_back("target past the oset table", past_table.TakeBuffer());
+  broken.emplace_back("truncated row",
+                      std::vector<uint8_t>(honest.begin(), honest.end() - 1));
+  broken.emplace_back("trailing byte", honest);
+  broken.back().second.push_back(0);
+
+  for (const auto& [what, bytes] : broken) {
+    SCOPED_TRACE(what);
+    Decoder dec(bytes, Decoder::OnError::kStatus);
+    (void)WeightedBoundaryRows::Deserialize(&dec);
+    EXPECT_FALSE(dec.ok());
+    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+  }
+  Decoder dec(honest, Decoder::OnError::kStatus);
   (void)WeightedBoundaryRows::Deserialize(&dec);
-  EXPECT_FALSE(dec.ok());
-  EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
+  EXPECT_TRUE(dec.Done());
 }
 
 // The reach and rpq refresh rounds ship the same BoundaryRows, keyed by
@@ -372,13 +378,11 @@ PayloadEdit ForgeRows(void (*edit)(Rows*)) {
   };
 }
 
-void AliasToNoRep(WeightedBoundaryRows* rows) {
-  rows->aliases.emplace_back(/*member=*/9, /*rep=*/999);
-}
-
 void IndexPastTable(WeightedBoundaryRows* rows) {
-  ASSERT_FALSE(rows->rows.empty());
-  rows->rows.back().emplace_back(rows->oset_globals.size(), 1);
+  ASSERT_FALSE(rows->in_globals.empty());
+  rows->targets.push_back(static_cast<uint32_t>(rows->oset_globals.size()));
+  rows->hops.push_back(1);
+  ++rows->offsets.back();
 }
 
 using Pairs = std::vector<std::pair<uint64_t, uint64_t>>;
@@ -585,9 +589,9 @@ TEST(TransportFailureTest, StopDuringHungRoundDrainsCleanly) {
 }
 
 // The dist index path checks reply CONTENT, not only framing. Site 2 sends
-// CRC-valid but forged replies: refresh rows with an alias to no rep and
-// with an oset index past the table, then sweep frames with entries that
-// are no boundary node (the coordinator's search CHECK-aborts on those),
+// CRC-valid but forged replies: refresh rows with an oset index past the
+// table, then sweep frames with entries that are no in-node (the
+// coordinator's search CHECK-aborts on those),
 // and with hop counts and a local distance above the query bound. Each
 // forged reply rejects its batch with Corruption; a rejected refresh keeps
 // the site dirty, so the next batch asks it again; once the site answers
@@ -610,7 +614,6 @@ TEST(TransportFailureTest, ForgedDistRepliesRejectBatchesNotProcess) {
   constexpr RoundKind kRows = RoundKind::kIndexRows;
   constexpr RoundKind kSweep = RoundKind::kIndexSweep;
   std::vector<Forgery> forgeries;
-  forgeries.push_back({kRows, ForgeRows(AliasToNoRep)});
   forgeries.push_back({kRows, ForgeRows(IndexPastTable)});
   forgeries.push_back({kSweep, ForgeSweep(pat_exit, {{ex.tom, 1}})});
   forgeries.push_back({kSweep, ForgeSweep(pat_exit, {{kNoSuchId, 1}})});
@@ -780,6 +783,42 @@ TEST(TransportFailureTest, ForgedReachOsetTableCannotAbort) {
     options.reach_path = ReachAnswerPath::kBoundaryIndex;
     PartialEvalEngine engine(&cluster, options);
     const std::vector<Query> batch = {Query::Reach(ex.pat, ex.mark)};
+    const BatchAnswer served = engine.EvaluateBatch(batch);
+    EXPECT_TRUE(served.status.ok()) << served.status.ToString();
+    EXPECT_EQ(applied.load(), 1u);
+  }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
+}
+
+/// Renames the first virtual node to Tom, who is no in-node anywhere.
+void NonBoundaryFirstDistOsetEntry(WeightedBoundaryRows* rows) {
+  ASSERT_FALSE(rows->oset_globals.empty());
+  rows->oset_globals.front() = 9;
+}
+
+// The dist twin of ForgedReachOsetTableCannotAbort: a forged oset table
+// passes every decode check, so an exit may name no in-node. Ensure()
+// resolves that entry to a dead end, and an exit through it seeds nothing,
+// so the search answers instead of aborting on a seed that is no node.
+TEST(TransportFailureTest, ForgedDistOsetTableCannotAbort) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  ASSERT_EQ(frag.fragment(2).ToGlobal(
+                static_cast<NodeId>(frag.fragment(2).num_local())),
+            ex.jack);  // site 2's first virtual node, Pat's one exit
+  std::vector<Forgery> forgeries;
+  forgeries.push_back(
+      {RoundKind::kIndexRows, ForgeRows(NonBoundaryFirstDistOsetEntry)});
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  ServeForgeries(&workers, &forgeries, &applied);
+  {
+    Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
+                    ConnectOptions(workers));
+    PartialEvalOptions options;
+    options.dist_path = DistAnswerPath::kBoundaryIndex;
+    PartialEvalEngine engine(&cluster, options);
+    const std::vector<Query> batch = {Query::Dist(ex.pat, ex.mark, 8)};
     const BatchAnswer served = engine.EvaluateBatch(batch);
     EXPECT_TRUE(served.status.ok()) << served.status.ToString();
     EXPECT_EQ(applied.load(), 1u);
