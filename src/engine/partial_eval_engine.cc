@@ -1,6 +1,8 @@
 #include "src/engine/partial_eval_engine.h"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -40,22 +42,6 @@ Status MalformedReply(const char* what) {
   return Status::Corruption(std::string("transport: malformed ") + what);
 }
 
-/// The fragments storing an endpoint of a query in `wire`, ascending and
-/// distinct — the sites an indexed sweep round visits.
-std::vector<SiteId> EndpointSites(const Fragmentation& frag,
-                                  std::span<const Query> queries,
-                                  const std::vector<size_t>& wire) {
-  std::vector<SiteId> sites;
-  sites.reserve(2 * wire.size());
-  for (size_t qi : wire) {
-    sites.push_back(frag.site_of(queries[qi].source));
-    sites.push_back(frag.site_of(queries[qi].target));
-  }
-  std::sort(sites.begin(), sites.end());
-  sites.erase(std::unique(sites.begin(), sites.end()), sites.end());
-  return sites;
-}
-
 /// Splits a reply into exactly `count` frame decoders (viewing the reply
 /// buffer). False when the reply holds fewer, more or malformed frames.
 bool SplitFrames(const std::vector<uint8_t>& reply, size_t count,
@@ -67,76 +53,117 @@ bool SplitFrames(const std::vector<uint8_t>& reply, size_t count,
   return dec.Done();
 }
 
-/// Decodes query `wi`'s endpoint nodes from its reach or rpq sweep frames:
-/// the s-side frame lists s's component first, t's frame (the same frame
-/// when one site stores both) lists t's component last. A reply is not
-/// trusted: false unless both flags are set and each component id names a
-/// node of `index`.
-bool DecodeEndpointNodes(const BoundaryReachIndex& index,
-                         const Fragmentation& frag, const Query& q, size_t wi,
-                         std::vector<std::vector<Decoder>>* frames,
+/// Decodes a reach or rpq query's endpoint nodes from its sweep frames: the
+/// s-side frame (from s's site) lists s's component first, the t-side frame
+/// (t's site; the same decoder when one site stores both) lists t's
+/// component last. A reply is not trusted: false unless both flags are set
+/// and each component id names a node of `index`.
+bool DecodeEndpointNodes(const BoundaryReachIndex& index, SiteId s_site,
+                         SiteId t_site, Decoder* s_frame, Decoder* t_frame,
                          uint32_t* s_node, uint32_t* t_node) {
-  const SiteId s_site = frag.site_of(q.source);
-  const SiteId t_site = frag.site_of(q.target);
-  Decoder& s_frame = (*frames)[s_site][wi];
-  const uint8_t s_flags = s_frame.GetU8();
-  *s_node = index.Node(s_site, s_frame.GetVarint());
-  Decoder& t_frame = (*frames)[t_site][wi];
-  const uint8_t t_flags = t_site == s_site ? s_flags : t_frame.GetU8();
-  *t_node = index.Node(t_site, t_frame.GetVarint());
-  return (s_flags & kFrameHasS) && (t_flags & kFrameHasT) && s_frame.ok() &&
-         t_frame.ok() && *s_node != BoundaryReachIndex::kNoNode &&
+  const uint8_t s_flags = s_frame->GetU8();
+  *s_node = index.Node(s_site, s_frame->GetVarint());
+  const uint8_t t_flags = t_frame == s_frame ? s_flags : t_frame->GetU8();
+  *t_node = index.Node(t_site, t_frame->GetVarint());
+  return (s_flags & kFrameHasS) && (t_flags & kFrameHasT) && s_frame->ok() &&
+         t_frame->ok() && *s_node != BoundaryReachIndex::kNoNode &&
          *t_node != BoundaryReachIndex::kNoNode;
 }
 
-/// Answers dist query `wi` from its sweep frames: the s-side exit
-/// distances spliced onto the t-side entry distances through one
-/// bidirectional Dijkstra over the standing graph (edges above the bound
-/// filtered), then the minimum with the local short-circuit. A reply is not
-/// trusted: false unless every exit is inside s's installed oset table,
-/// every entry is an in-node of this epoch and every distance is within the
-/// bound (a site never ships a longer one), which also keeps the search's
-/// sums far from wrapping. An exit whose oset entry is a dead end seeds
-/// nothing.
-bool DecodeDistance(BoundaryDistIndex* index, const Fragmentation& frag,
-                    const Query& q, size_t wi,
-                    std::vector<std::vector<Decoder>>* frames,
-                    uint64_t* distance) {
-  const SiteId s_site = frag.site_of(q.source);
-  const SiteId t_site = frag.site_of(q.target);
-  Decoder& s_frame = (*frames)[s_site][wi];
-  const uint8_t s_flags = s_frame.GetU8();
+/// Answers dist query `q` from its sweep frames (as DecodeEndpointNodes
+/// takes them): the s-side exit distances spliced onto the t-side entry
+/// distances through one bidirectional Dijkstra over the standing graph
+/// (edges above the bound filtered), then the minimum with the local
+/// short-circuit. A reply is not trusted: false unless every exit is inside
+/// s's installed oset table, every entry is an in-node of this epoch and
+/// every distance is within the bound (a site never ships a longer one),
+/// which also keeps the search's sums far from wrapping. An exit whose oset
+/// entry is a dead end seeds nothing.
+bool DecodeDistance(BoundaryDistIndex* index, const Query& q, SiteId s_site,
+                    Decoder* s_frame, Decoder* t_frame, uint64_t* distance) {
+  const uint8_t s_flags = s_frame->GetU8();
   if (!(s_flags & kFrameHasS)) return false;
   uint64_t local_dist = kInfWeight;
   if (s_flags & kFrameHasLocalDist) {
-    local_dist = s_frame.GetVarint();
+    local_dist = s_frame->GetVarint();
     if (local_dist > q.bound) return false;
   }
   std::vector<BoundaryDistIndex::Seed> s_out;
   const std::vector<uint32_t>& exits = index->oset_nodes(s_site);
   uint32_t prev = 0;
-  for (size_t n = s_frame.GetCount(2); n > 0; --n) {
-    prev += static_cast<uint32_t>(s_frame.GetVarint());
-    const uint64_t hops = s_frame.GetVarint();
+  for (size_t n = s_frame->GetCount(2); n > 0; --n) {
+    prev += static_cast<uint32_t>(s_frame->GetVarint());
+    const uint64_t hops = s_frame->GetVarint();
     if (prev >= exits.size() || hops > q.bound) return false;
     if (exits[prev] != BoundaryDistIndex::kNoNode) {
       s_out.push_back({exits[prev], hops});
     }
   }
 
-  Decoder& t_frame = (*frames)[t_site][wi];
-  const uint8_t t_flags = t_site == s_site ? s_flags : t_frame.GetU8();
+  const uint8_t t_flags = t_frame == s_frame ? s_flags : t_frame->GetU8();
   if (!(t_flags & kFrameHasT)) return false;
   std::vector<BoundaryDistIndex::Seed> t_in;
-  for (size_t n = t_frame.GetCount(2); n > 0; --n) {
-    const uint32_t entry = index->InNode(t_frame.GetVarint());
-    const uint64_t hops = t_frame.GetVarint();
+  for (size_t n = t_frame->GetCount(2); n > 0; --n) {
+    const uint32_t entry = index->InNode(t_frame->GetVarint());
+    const uint64_t hops = t_frame->GetVarint();
     if (entry == BoundaryDistIndex::kNoNode || hops > q.bound) return false;
     t_in.push_back({entry, hops});
   }
-  if (!s_frame.ok() || !t_frame.ok()) return false;
+  if (!s_frame->ok() || !t_frame->ok()) return false;
   *distance = std::min(local_dist, index->ShortestPath(s_out, t_in, q.bound));
   return true;
+}
+
+/// The automaton table of the batch `wire`, with no bytes: every regular
+/// query's automaton canonicalized once, language-equal ones deduplicated
+/// by canonical signature into one entry, in first-use order.
+BatchBroadcast CanonicalAutomata(std::span<const Query> queries,
+                                 const std::vector<size_t>& wire) {
+  BatchBroadcast out;
+  out.automaton_ref.assign(wire.size(), 0);
+  std::unordered_map<std::string, uint32_t> ref_of;
+  for (size_t wi = 0; wi < wire.size(); ++wi) {
+    const Query& q = queries[wire[wi]];
+    if (q.kind != QueryKind::kRpq) continue;
+    CanonicalAutomaton canon = Canonicalize(*q.automaton);
+    const auto [it, inserted] = ref_of.emplace(
+        canon.signature.key, static_cast<uint32_t>(out.automata.size()));
+    if (inserted) out.automata.push_back(std::move(canon));
+    out.automaton_ref[wi] = it->second;
+  }
+  return out;
+}
+
+/// The batch broadcast of the queries wire[wi], wi in `subset` (ascending),
+/// carrying only the automata of `table` they reference, renumbered in
+/// first-use order: exactly EncodeBatchBroadcast's bytes for those queries,
+/// without canonicalizing any automaton again. Each automaton keeps its
+/// canonical bytes, which key the sites' product caches.
+std::vector<uint8_t> EncodeSubBatch(std::span<const Query> queries,
+                                    const std::vector<size_t>& wire,
+                                    const BatchBroadcast& table,
+                                    const std::vector<size_t>& subset) {
+  constexpr uint32_t kUnused = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> local_ref(table.automata.size(), kUnused);
+  std::vector<uint32_t> used;  // table indices, in first-use order
+  Encoder enc;
+  enc.PutVarint(subset.size());
+  for (const size_t wi : subset) {
+    const Query& q = queries[wire[wi]];
+    q.SerializeHeader(&enc);
+    if (q.kind != QueryKind::kRpq) continue;
+    uint32_t& ref = local_ref[table.automaton_ref[wi]];
+    if (ref == kUnused) {
+      ref = static_cast<uint32_t>(used.size());
+      used.push_back(table.automaton_ref[wi]);
+    }
+    enc.PutVarint(ref);
+  }
+  if (!used.empty()) {
+    enc.PutVarint(used.size());
+    for (const uint32_t r : used) table.automata[r].automaton.Serialize(&enc);
+  }
+  return enc.TakeBuffer();
 }
 
 /// One standing index an indexed batch routes queries to: the reach index,
@@ -153,32 +180,10 @@ struct IndexEntry {
 
 BatchBroadcast EncodeBatchBroadcast(std::span<const Query> queries,
                                     const std::vector<size_t>& wire) {
-  // Regular queries dedupe their automata by canonical signature: identical
-  // regexes in one batch ship one automaton plus a per-query table
-  // reference instead of k serialized copies.
-  BatchBroadcast out;
-  out.automaton_ref.assign(wire.size(), 0);
-  std::unordered_map<std::string, uint32_t> ref_of;
-  Encoder enc;
-  enc.PutVarint(wire.size());
-  for (size_t wi = 0; wi < wire.size(); ++wi) {
-    const Query& q = queries[wire[wi]];
-    q.SerializeHeader(&enc);
-    if (q.kind != QueryKind::kRpq) continue;
-    CanonicalAutomaton canon = Canonicalize(*q.automaton);
-    const auto [it, inserted] = ref_of.emplace(
-        canon.signature.key, static_cast<uint32_t>(out.automata.size()));
-    if (inserted) out.automata.push_back(std::move(canon));
-    out.automaton_ref[wi] = it->second;
-    enc.PutVarint(it->second);
-  }
-  if (!out.automata.empty()) {
-    enc.PutVarint(out.automata.size());
-    for (const CanonicalAutomaton& a : out.automata) {
-      a.automaton.Serialize(&enc);
-    }
-  }
-  out.bytes = enc.TakeBuffer();
+  BatchBroadcast out = CanonicalAutomata(queries, wire);
+  std::vector<size_t> all(wire.size());
+  std::iota(all.begin(), all.end(), 0);
+  out.bytes = EncodeSubBatch(queries, wire, out, all);
   return out;
 }
 
@@ -238,7 +243,8 @@ Status PartialEvalEngine::RunBatch(std::span<const Query> queries,
   RoundSpec spec;
   spec.kind = RoundKind::kBatchEval;
   spec.aux = static_cast<uint8_t>(options_.form);
-  spec.broadcast = EncodeBatchBroadcast(queries, wire).bytes;
+  spec.payloads.assign(cluster_->fragmentation().num_fragments(),
+                       EncodeBatchBroadcast(queries, wire).bytes);
   Result<std::vector<std::vector<uint8_t>>> round =
       cluster_->TryRoundAll(spec, &contexts_);
   if (!round.ok()) return round.status();
@@ -312,16 +318,16 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
                                      std::vector<QueryAnswer>* answers) {
   const Fragmentation& frag = cluster_->fragmentation();
   const size_t num_fragments = frag.num_fragments();
-  BatchBroadcast sweep = EncodeBatchBroadcast(queries, wire);
+  const BatchBroadcast table = CanonicalAutomata(queries, wire);
 
   // Route every query to its standing index, built on first use: entry 0 is
   // the reach index, entry 1 the dist index, entry 2 + r the rpq entry of
-  // the sweep's automaton r (one per canonical signature).
+  // the batch's automaton r (one per canonical signature).
   const auto has = [&](QueryKind kind) {
     return std::any_of(wire.begin(), wire.end(),
                        [&](size_t qi) { return queries[qi].kind == kind; });
   };
-  std::vector<IndexEntry> entries(2 + sweep.automata.size());
+  std::vector<IndexEntry> entries(2 + table.automata.size());
   if (has(QueryKind::kReach)) {
     if (!boundary_) {
       boundary_ = std::make_unique<BoundaryReachIndex>(num_fragments);
@@ -334,62 +340,57 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
     }
     entries[1] = {.kind = QueryKind::kDist, .dist = boundary_dist_.get()};
   }
-  if (!sweep.automata.empty()) {
+  if (!table.automata.empty()) {
     if (!boundary_rpq_) {
       boundary_rpq_ = std::make_unique<BoundaryRpqIndex>(
           num_fragments, options_.rpq_cache_entries);
     }
     boundary_rpq_->BeginBatch();
-    for (size_t r = 0; r < sweep.automata.size(); ++r) {
+    for (size_t r = 0; r < table.automata.size(); ++r) {
       entries[2 + r] = {
           .kind = QueryKind::kRpq,
-          .glued = &boundary_rpq_->GetEntry(sweep.automata[r].signature),
-          .automaton = &sweep.automata[r]};
+          .glued = &boundary_rpq_->GetEntry(table.automata[r].signature),
+          .automaton = &table.automata[r]};
     }
   }
   const auto entry_index = [&](size_t wi) -> size_t {
     const QueryKind kind = queries[wire[wi]].kind;
-    return kind == QueryKind::kRpq ? 2 + sweep.automaton_ref[wi]
+    return kind == QueryKind::kRpq ? 2 + table.automaton_ref[wi]
                                    : static_cast<size_t>(kind);
   };
 
   // Refresh round: fetch the rows of every dirty (index, fragment) pair of
   // the batch in ONE round — every fragment on an index's first use,
   // exactly the update-touched ones afterwards (InvalidateFragment marks
-  // them). The broadcast lists each dirty index once — its kind, an rpq
-  // entry's canonical automaton, its dirty sites — and a site replies with
-  // one rows frame per index that lists it, in broadcast order.
+  // them). Each dirty site is sent only its own index entries — a kind and,
+  // for an rpq entry, its canonical automaton — and replies with one rows
+  // frame per entry, in payload order.
   std::vector<std::vector<size_t>> site_entries(num_fragments);
-  size_t num_dirty = 0;
-  for (IndexEntry& e : entries) {
+  for (size_t ei = 0; ei < entries.size(); ++ei) {
+    IndexEntry& e = entries[ei];
     if (e.glued != nullptr) e.dirty = e.glued->DirtySites();
     if (e.dist != nullptr) e.dirty = e.dist->DirtySites();
-    num_dirty += e.dirty.empty() ? 0 : 1;
-  }
-  Encoder refresh;
-  refresh.PutVarint(num_dirty);
-  for (size_t ei = 0; ei < entries.size(); ++ei) {
-    const IndexEntry& e = entries[ei];
-    if (e.dirty.empty()) continue;
-    refresh.PutU8(static_cast<uint8_t>(e.kind));
-    if (e.automaton != nullptr) e.automaton->automaton.Serialize(&refresh);
-    refresh.PutVarint(e.dirty.size());
-    for (SiteId site : e.dirty) {
-      refresh.PutVarint(site);
-      site_entries[site].push_back(ei);
-    }
+    for (SiteId site : e.dirty) site_entries[site].push_back(ei);
   }
   std::vector<SiteId> refresh_sites;
+  RoundSpec refresh;
+  refresh.kind = RoundKind::kIndexRows;
   for (SiteId site = 0; site < num_fragments; ++site) {
-    if (!site_entries[site].empty()) refresh_sites.push_back(site);
+    if (site_entries[site].empty()) continue;
+    refresh_sites.push_back(site);
+    Encoder payload;
+    payload.PutVarint(site_entries[site].size());
+    for (const size_t ei : site_entries[site]) {
+      const IndexEntry& e = entries[ei];
+      payload.PutU8(static_cast<uint8_t>(e.kind));
+      if (e.automaton != nullptr) e.automaton->automaton.Serialize(&payload);
+    }
+    refresh.payloads.push_back(payload.TakeBuffer());
   }
   StopWatch build_watch;
   if (!refresh_sites.empty()) {
-    RoundSpec spec;
-    spec.kind = RoundKind::kIndexRows;
-    spec.broadcast = refresh.TakeBuffer();
     Result<std::vector<std::vector<uint8_t>>> round =
-        cluster_->TryRound(refresh_sites, spec, &contexts_);
+        cluster_->TryRound(refresh_sites, refresh, &contexts_);
     if (!round.ok()) return round.status();
     build_watch.Restart();
     // Split every reply before installing any rows: a reply with a frame
@@ -430,17 +431,30 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
   }
 
   // Sweep round over the ENDPOINT fragments only — the standing indexes
-  // replace the all-sites equation broadcast. Each involved site answers
-  // every query of the batch with one small frame: a component id per
-  // endpoint it stores (reach, rpq) or its bounded s-side / t-side distance
-  // lists (dist), and a flag byte for a query whose endpoints it does not
-  // store.
-  const std::vector<SiteId> sites = EndpointSites(frag, queries, wire);
-  RoundSpec spec;
-  spec.kind = RoundKind::kIndexSweep;
-  spec.broadcast = std::move(sweep.bytes);
+  // replace the all-sites equation broadcast. Each endpoint site is sent
+  // the sub-batch of the queries it stores an endpoint of, in batch order,
+  // and answers each with one small frame: a component id per endpoint it
+  // stores (reach, rpq) or its bounded s-side / t-side distance lists
+  // (dist).
+  std::vector<std::vector<size_t>> site_queries(num_fragments);
+  for (size_t wi = 0; wi < wire.size(); ++wi) {
+    const Query& q = queries[wire[wi]];
+    const SiteId s_site = frag.site_of(q.source);
+    const SiteId t_site = frag.site_of(q.target);
+    site_queries[s_site].push_back(wi);
+    if (t_site != s_site) site_queries[t_site].push_back(wi);
+  }
+  std::vector<SiteId> sites;
+  RoundSpec sweep;
+  sweep.kind = RoundKind::kIndexSweep;
+  for (SiteId site = 0; site < num_fragments; ++site) {
+    if (site_queries[site].empty()) continue;
+    sites.push_back(site);
+    sweep.payloads.push_back(
+        EncodeSubBatch(queries, wire, table, site_queries[site]));
+  }
   Result<std::vector<std::vector<uint8_t>>> round =
-      cluster_->TryRound(sites, spec, &contexts_);
+      cluster_->TryRound(sites, sweep, &contexts_);
   if (!round.ok()) return round.status();
 
   // Assemble. A dist query is one bidirectional Dijkstra. A reach or rpq
@@ -454,10 +468,14 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
   StopWatch assemble_watch;
   std::vector<std::vector<Decoder>> frames(num_fragments);
   for (size_t ri = 0; ri < sites.size(); ++ri) {
-    if (!SplitFrames(round.value()[ri], wire.size(), &frames[sites[ri]])) {
+    if (!SplitFrames(round.value()[ri], site_queries[sites[ri]].size(),
+                     &frames[sites[ri]])) {
       return MalformedReply("index sweep reply");
     }
   }
+  // A site's frames answer its sub-batch in batch order, so one cursor per
+  // site walks them as the queries go by.
+  std::vector<size_t> next_frame(num_fragments, 0);
   // Flat node storage, per question t's node then the sources; spans are
   // built only after the fill so growth can't invalidate them.
   struct PendingQuestion {
@@ -470,9 +488,14 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
   for (size_t wi = 0; wi < wire.size(); ++wi) {
     const Query& q = queries[wire[wi]];
     const size_t ei = entry_index(wi);
+    const SiteId s_site = frag.site_of(q.source);
+    const SiteId t_site = frag.site_of(q.target);
+    Decoder* s_frame = &frames[s_site][next_frame[s_site]++];
+    Decoder* t_frame =
+        t_site == s_site ? s_frame : &frames[t_site][next_frame[t_site]++];
     if (q.kind == QueryKind::kDist) {
       QueryAnswer& answer = (*answers)[wire[wi]];
-      if (!DecodeDistance(entries[ei].dist, frag, q, wi, &frames,
+      if (!DecodeDistance(entries[ei].dist, q, s_site, s_frame, t_frame,
                           &answer.distance)) {
         return MalformedReply("dist sweep frame");
       }
@@ -483,7 +506,8 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
     const BoundaryReachIndex& index = *entries[ei].glued;
     uint32_t s_node = 0;
     uint32_t t_node = 0;
-    if (!DecodeEndpointNodes(index, frag, q, wi, &frames, &s_node, &t_node)) {
+    if (!DecodeEndpointNodes(index, s_site, t_site, s_frame, t_frame, &s_node,
+                             &t_node)) {
       return MalformedReply("boundary sweep frame");
     }
     const size_t offset = nodes.size();

@@ -76,8 +76,9 @@ struct PartialEvalOptions {
   size_t rpq_cache_entries = 8;
 };
 
-/// The broadcast of a batch round (kBatchEval) and of an indexed sweep round
-/// (kIndexSweep), and the automaton table it carries (DESIGN.md §2.1).
+/// The broadcast of a batch round (kBatchEval), and the automaton table it
+/// carries (DESIGN.md §2.1). An indexed sweep round (kIndexSweep) sends each
+/// endpoint site the same format over the queries it stores an endpoint of.
 struct BatchBroadcast {
   /// varint n · { Query::SerializeHeader · [varint automaton ref] }ⁿ
   ///          · [varint m · { QueryAutomaton::Serialize }ᵐ]

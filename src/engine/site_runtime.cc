@@ -140,10 +140,6 @@ void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
                           NodeId t, uint32_t bound, Encoder* body) {
   const bool s_here = f.Contains(s);
   const bool t_here = f.Contains(t);
-  if (!s_here && !t_here) {
-    body->PutU8(0);
-    return;
-  }
 
   // Each side is one bounded BFS over the local graph — O(|V_f| + |E_f|)
   // whatever |oset| and |in| are. The BFS prunes past `bound`, so a node is
@@ -435,16 +431,16 @@ Result<std::vector<uint8_t>> RunBatchEval(
   return reply.TakeBuffer();
 }
 
-/// The refresh round: one rows frame per index whose site list names this
-/// fragment, in broadcast order. The broadcast is
-///   varint n · { u8 index kind · [automaton] · varint k · site×k }ⁿ
+/// The refresh round: one rows frame per index entry of this site's
+/// payload, in payload order. The payload lists only this site's entries:
+///   varint n · { u8 index kind · [automaton] }ⁿ
 /// where the kind is the QueryKind the index answers and an rpq index
 /// carries its canonical automaton.
-Result<std::vector<uint8_t>> RunIndexRows(
-    const Fragment& f, FragmentContext* ctx,
-    const std::vector<uint8_t>& broadcast) {
-  Decoder dec(broadcast, Decoder::OnError::kStatus);
-  std::vector<std::pair<QueryKind, std::optional<WireAutomaton>>> mine;
+Result<std::vector<uint8_t>> RunIndexRows(const Fragment& f,
+                                          FragmentContext* ctx,
+                                          const std::vector<uint8_t>& payload) {
+  Decoder dec(payload, Decoder::OnError::kStatus);
+  std::vector<std::pair<QueryKind, std::optional<WireAutomaton>>> entries;
   for (size_t n = dec.GetCount(); n > 0; --n) {
     const uint8_t kind = dec.GetU8();
     if (!dec.ok()) return dec.status();
@@ -453,23 +449,16 @@ Result<std::vector<uint8_t>> RunIndexRows(
     }
     std::optional<WireAutomaton> automaton;
     if (kind == static_cast<uint8_t>(QueryKind::kRpq)) {
-      automaton = GetAutomaton(broadcast, &dec);
+      automaton = GetAutomaton(payload, &dec);
       if (!automaton) return dec.status();
     }
-    bool lists_me = false;
-    for (size_t k = dec.GetCount(); k > 0; --k) {
-      lists_me |= dec.GetVarint() == f.site();
-    }
-    if (!dec.ok()) return dec.status();
-    if (lists_me) {
-      mine.emplace_back(static_cast<QueryKind>(kind), std::move(automaton));
-    }
+    entries.emplace_back(static_cast<QueryKind>(kind), std::move(automaton));
   }
   if (!dec.Done()) return Status::Corruption("rows round: trailing bytes");
 
   ctx->BeginRpqRound();
   Encoder reply;
-  for (const auto& [kind, a] : mine) {
+  for (const auto& [kind, a] : entries) {
     switch (kind) {
       case QueryKind::kReach:
         reply.PutFrame(EncodeReachRows(f, ctx));
@@ -486,15 +475,15 @@ Result<std::vector<uint8_t>> RunIndexRows(
   return reply.TakeBuffer();
 }
 
-/// The sweep round: one endpoint frame per query of the batch broadcast,
-/// whatever its class; a flag byte where this fragment stores neither
-/// endpoint.
+/// The sweep round: one endpoint frame per query of this site's sub-batch
+/// (the batch broadcast format, holding the queries the site stores an
+/// endpoint of), whatever its class.
 Result<std::vector<uint8_t>> RunIndexSweep(
     const Fragment& f, FragmentContext* ctx,
-    const std::vector<uint8_t>& broadcast) {
+    const std::vector<uint8_t>& payload) {
   std::vector<WireQuery> queries;
   std::vector<WireAutomaton> automata;
-  Status decoded = DecodeBatch(broadcast, &queries, &automata);
+  Status decoded = DecodeBatch(payload, &queries, &automata);
   if (!decoded.ok()) return decoded;
 
   if (!automata.empty()) ctx->BeginRpqRound();
@@ -509,10 +498,6 @@ Result<std::vector<uint8_t>> RunIndexSweep(
         EncodeDistSweepFrame(f, ctx, q.source, q.target, q.bound, &body);
         break;
       case QueryKind::kRpq: {
-        if (!f.Contains(q.source) && !f.Contains(q.target)) {
-          body.PutU8(0);
-          break;
-        }
         const WireAutomaton& a = automata[q.automaton_ref];
         EncodeRpqSweepFrame(f, ctx, ctx->rpq_product(f, a.key, a.automaton),
                             q.source, q.target, &body);
@@ -528,14 +513,14 @@ Result<std::vector<uint8_t>> RunIndexSweep(
 
 Result<std::vector<uint8_t>> RunSiteRound(
     const Fragment& f, FragmentContext* ctx, RoundKind kind, uint8_t aux,
-    const std::vector<uint8_t>& broadcast) {
+    const std::vector<uint8_t>& payload) {
   switch (kind) {
     case RoundKind::kBatchEval:
-      return RunBatchEval(f, ctx, aux, broadcast);
+      return RunBatchEval(f, ctx, aux, payload);
     case RoundKind::kIndexRows:
-      return RunIndexRows(f, ctx, broadcast);
+      return RunIndexRows(f, ctx, payload);
     case RoundKind::kIndexSweep:
-      return RunIndexSweep(f, ctx, broadcast);
+      return RunIndexSweep(f, ctx, payload);
   }
   return Status::Corruption("unknown round kind");
 }

@@ -14,7 +14,7 @@ namespace pereach {
 /// sweeps and row re-encodings that run against one fragment plus its
 /// FragmentContext — everything a site contributes to a round, with no
 /// reference to coordinator state. Every backend reaches them through
-/// RunSiteRound, which decodes a RoundSpec broadcast: kSim in process over
+/// RunSiteRound, which decodes a site's RoundSpec payload: kSim in process over
 /// the coordinator's fragments, kSocket on its workers. One definition on
 /// every path is why the backend differential suite (answers, reply bytes
 /// and books bit-identical across transports) holds by construction.
@@ -51,11 +51,12 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
                          const FragmentContext::RpqProduct& p, NodeId s,
                          NodeId t, Encoder* body);
 
-/// The one site entry point: decodes a round broadcast (tolerant decoding —
-/// a corrupt or truncated payload, or a kind byte no RoundKind names,
-/// returns Corruption, never aborts, so one bad frame cannot kill a worker
-/// process) and produces this fragment's reply bytes for (kind, aux). `ctx` is the site's standing cache; it must
-/// be reset (fresh FragmentContext) whenever the fragment changes. Workers
+/// The one site entry point: decodes this site's round payload (tolerant
+/// decoding — a corrupt or truncated payload, or a kind byte no RoundKind
+/// names, returns Corruption, never aborts, so one bad frame cannot kill a
+/// worker process) and produces this fragment's reply bytes for (kind,
+/// aux). `ctx` is the site's standing cache; it must be reset (fresh
+/// FragmentContext) whenever the fragment changes. Workers
 /// call it over their fragment copies; the kSim backend and the socket
 /// transport's degrade-local path (DESIGN.md §13.2) call it over the
 /// coordinator's fragments and the engine's context cache, which is why a
@@ -63,7 +64,7 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* ctx,
 Result<std::vector<uint8_t>> RunSiteRound(const Fragment& f,
                                           FragmentContext* ctx, RoundKind kind,
                                           uint8_t aux,
-                                          const std::vector<uint8_t>& broadcast);
+                                          const std::vector<uint8_t>& payload);
 
 }  // namespace pereach
 

@@ -48,18 +48,17 @@ RunMetrics Cluster::EndQuery() {
   return out;
 }
 
-void Cluster::ChargeRound(const std::vector<SiteId>& sites,
-                          size_t broadcast_bytes,
+void Cluster::ChargeRound(const std::vector<SiteId>& sites, size_t sent_bytes,
                           const std::vector<std::vector<uint8_t>>& replies,
                           double max_compute_ms) {
   const size_t k = sites.size();
   PEREACH_CHECK_EQ(replies.size(), k);
 
-  // The books charge the round's PAYLOADS — broadcast and non-empty replies
-  // — never the transport envelope, so modeled numbers are identical across
-  // backends (and to the seed).
-  size_t round_bytes = broadcast_bytes * k;
-  size_t num_messages = k;  // coordinator -> site broadcasts
+  // The books charge the round's PAYLOADS — what each site was sent and
+  // every non-empty reply — never the transport envelope, so modeled
+  // numbers are identical across backends.
+  size_t round_bytes = sent_bytes;
+  size_t num_messages = k;  // coordinator -> site requests
   for (const std::vector<uint8_t>& reply : replies) {
     if (!reply.empty()) {
       round_bytes += reply.size();
@@ -90,7 +89,7 @@ std::vector<std::vector<uint8_t>> Cluster::Round(
   });
   double max_compute = 0.0;
   for (double ms : compute_ms) max_compute = std::max(max_compute, ms);
-  ChargeRound(sites, broadcast_bytes, replies, max_compute);
+  ChargeRound(sites, broadcast_bytes * k, replies, max_compute);
   return replies;
 }
 
@@ -103,11 +102,16 @@ std::vector<std::vector<uint8_t>> Cluster::RoundAll(
 Result<std::vector<std::vector<uint8_t>>> Cluster::TryRound(
     const std::vector<SiteId>& sites, const RoundSpec& spec,
     FragmentContextCache* local) {
+  PEREACH_CHECK_EQ(spec.payloads.size(), sites.size());
   std::vector<std::vector<uint8_t>> replies;
   double max_compute = 0.0;
   Status s = transport_->Execute(sites, spec, local, &replies, &max_compute);
   if (!s.ok()) return s;
-  ChargeRound(sites, spec.broadcast.size(), replies, max_compute);
+  size_t sent_bytes = 0;
+  for (const std::vector<uint8_t>& payload : spec.payloads) {
+    sent_bytes += payload.size();
+  }
+  ChargeRound(sites, sent_bytes, replies, max_compute);
   return replies;
 }
 

@@ -95,13 +95,15 @@ class Cluster {
       size_t broadcast_bytes,
       const std::function<std::vector<uint8_t>(const Fragment&)>& fn);
 
-  /// One round on the SERVING transport: every listed site evaluates `spec`
-  /// with site_runtime::RunSiteRound — in process over its fragment and
+  /// One round on the SERVING transport: every listed site evaluates its
+  /// payload of `spec` (one per listed site, in order) with
+  /// site_runtime::RunSiteRound — in process over its fragment and
   /// `local`'s context for it (kSim, and kSocket's degraded sites), or on
-  /// its worker (kSocket). Fails — instead of aborting — when the spec does
-  /// not decode, or a worker is dead, hung past its read deadline, or
-  /// framed garbage; the books are only charged on success, and the failed
-  /// connection re-establishes on its next round.
+  /// its worker (kSocket). The books charge the payloads actually sent.
+  /// Fails — instead of aborting — when the spec does not decode, or a
+  /// worker is dead, hung past its read deadline, or framed garbage; the
+  /// books are only charged on success, and the failed connection
+  /// re-establishes on its next round.
   Result<std::vector<std::vector<uint8_t>>> TryRound(
       const std::vector<SiteId>& sites, const RoundSpec& spec,
       FragmentContextCache* local);
@@ -150,9 +152,9 @@ class Cluster {
   };
 
   /// Charges the caller's open window with one completed round: the
-  /// broadcast bytes once per listed site plus every non-empty reply.
-  void ChargeRound(const std::vector<SiteId>& sites,
-                   size_t broadcast_bytes,
+  /// `sent_bytes` the listed sites were sent, summed, plus every non-empty
+  /// reply.
+  void ChargeRound(const std::vector<SiteId>& sites, size_t sent_bytes,
                    const std::vector<std::vector<uint8_t>>& replies,
                    double max_compute_ms);
 

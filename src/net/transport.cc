@@ -215,13 +215,14 @@ std::vector<uint8_t> SerializeFragment(const Fragment& f) {
 }
 
 /// One site's share of a round evaluated in process: the same RunSiteRound
-/// a worker runs, over the coordinator's fragment and the calling engine's
-/// standing context for that site.
+/// a worker runs on `payload`, over the coordinator's fragment and the
+/// calling engine's standing context for that site.
 Result<std::vector<uint8_t>> RunLocally(const Fragmentation& fragmentation,
                                         FragmentContextCache* local,
-                                        SiteId site, const RoundSpec& spec) {
+                                        SiteId site, const RoundSpec& spec,
+                                        const std::vector<uint8_t>& payload) {
   return RunSiteRound(fragmentation.fragment(site), &local->Get(site),
-                      spec.kind, spec.aux, spec.broadcast);
+                      spec.kind, spec.aux, payload);
 }
 
 // --- kSim -------------------------------------------------------------------
@@ -243,8 +244,8 @@ class SimTransport : public Transport {
     std::vector<Status> statuses(k, Status::OK());
     pool_->ParallelFor(k, [&](size_t i) {
       StopWatch watch;
-      Result<std::vector<uint8_t>> r =
-          RunLocally(*fragmentation_, local, sites[i], spec);
+      Result<std::vector<uint8_t>> r = RunLocally(
+          *fragmentation_, local, sites[i], spec, spec.payloads[i]);
       compute_ms[i] = watch.ElapsedMs();
       if (r.ok()) {
         (*replies)[i] = std::move(r).value();
@@ -436,8 +437,9 @@ class SocketTransport : public Transport {
     // a round (or the Stop() drain behind it) past this.
     const WireTime deadline = WireDeadline(options_.round_deadline_ms);
     pool_->ParallelFor(k, [&](size_t i) {
-      statuses[i] = RoundOnSite(sites[i], spec, local, round, deadline,
-                                &(*replies)[i], &compute_ms[i]);
+      statuses[i] = RoundOnSite(sites[i], spec, spec.payloads[i], local,
+                                round, deadline, &(*replies)[i],
+                                &compute_ms[i]);
     });
     *max_compute_ms = 0.0;
     for (double ms : compute_ms) *max_compute_ms = std::max(*max_compute_ms, ms);
@@ -599,13 +601,14 @@ class SocketTransport : public Transport {
   }
 
   /// One site's share of a round, with in-round failover: rounds are pure
-  /// functions of (fragment state, broadcast), and re-establishment ships
+  /// functions of (fragment state, payload), and re-establishment ships
   /// the current fragment before anything else, so re-dispatching a failed
   /// share is always sound — the worker either never saw the request or
   /// recomputes the identical reply. Worker-REPORTED errors (a cleanly
   /// framed failure from a live worker) are deterministic and final: no
   /// retry, no degradation.
   Status RoundOnSite(SiteId site, const RoundSpec& spec,
+                     const std::vector<uint8_t>& request,
                      FragmentContextCache* local, uint64_t round,
                      WireTime deadline, std::vector<uint8_t>* payload,
                      double* compute_ms) {
@@ -622,8 +625,9 @@ class SocketTransport : public Transport {
       }
       if (attempt > 0) retries_.fetch_add(1, std::memory_order_relaxed);
       bool worker_alive = false;
-      Status s = AttemptRoundOnSite(site, spec, round, attempt, deadline,
-                                    payload, compute_ms, &worker_alive);
+      Status s = AttemptRoundOnSite(site, spec, request, round, attempt,
+                                    deadline, payload, compute_ms,
+                                    &worker_alive);
       if (s.ok()) {
         supervisor_->RecordSuccess(site);
         return s;
@@ -638,7 +642,7 @@ class SocketTransport : public Transport {
       last = s;
     }
     if (options_.degrade_local) {
-      return DegradeLocal(site, spec, local, payload, compute_ms);
+      return DegradeLocal(site, spec, request, local, payload, compute_ms);
     }
     return last;
   }
@@ -646,8 +650,9 @@ class SocketTransport : public Transport {
   /// One attempt: establish if dead, inject any scheduled fault, exchange.
   /// `*worker_alive` is true only when the exchange failed but the
   /// connection is still good (worker-reported error).
-  Status AttemptRoundOnSite(SiteId site, const RoundSpec& spec, uint64_t round,
-                            int attempt, WireTime deadline,
+  Status AttemptRoundOnSite(SiteId site, const RoundSpec& spec,
+                            const std::vector<uint8_t>& request,
+                            uint64_t round, int attempt, WireTime deadline,
                             std::vector<uint8_t>* payload, double* compute_ms,
                             bool* worker_alive) {
     Connection& c = *conns_[site];
@@ -682,7 +687,7 @@ class SocketTransport : public Transport {
     body.PutU8(static_cast<uint8_t>(WireMessage::kRound));
     body.PutU8(static_cast<uint8_t>(spec.kind));
     body.PutU8(spec.aux);
-    body.PutRaw(spec.broadcast);
+    body.PutRaw(request);
     if (fault == FaultKind::kDropFrame) {
       // Deliver the request, lose the reply: the worker computes, we close.
       // Re-dispatch after this is the idempotence argument made flesh.
@@ -725,11 +730,12 @@ class SocketTransport : public Transport {
   /// context cache, which the update listener invalidates per touched
   /// fragment; each site of a round runs on one pool thread.
   Status DegradeLocal(SiteId site, const RoundSpec& spec,
+                      const std::vector<uint8_t>& request,
                       FragmentContextCache* local,
                       std::vector<uint8_t>* payload, double* compute_ms) {
     StopWatch watch;
     Result<std::vector<uint8_t>> r =
-        RunLocally(*fragmentation_, local, site, spec);
+        RunLocally(*fragmentation_, local, site, spec, request);
     *compute_ms = watch.ElapsedMs();
     if (!r.ok()) return r.status();
     *payload = std::move(r).value();

@@ -102,9 +102,9 @@ struct TransportOptions {
 
 /// What a round asks every listed site to do. Every backend evaluates it
 /// with site_runtime::RunSiteRound: kSim in process, kSocket on its workers
-/// after shipping `broadcast` verbatim. The three indexed query classes
-/// share one round pair (DESIGN.md §13.1): an indexed batch of any class
-/// mix costs at most a refresh round and a sweep round.
+/// after shipping the site's payload verbatim. The three indexed query
+/// classes share one round pair (DESIGN.md §13.1): an indexed batch of any
+/// class mix costs at most a refresh round and a sweep round.
 enum class RoundKind : uint8_t {
   kBatchEval = 0,   // multiplexed localEval/localEvald/localEvalr batch
   kIndexRows = 1,   // refresh: one rows frame per dirty (index, fragment)
@@ -114,13 +114,15 @@ enum class RoundKind : uint8_t {
 struct RoundSpec {
   RoundKind kind = RoundKind::kBatchEval;
   /// Kind-specific scalar: the EquationForm for kBatchEval, unused
-  /// otherwise. Everything else a worker needs is derived from `broadcast`.
+  /// otherwise. Everything else a worker needs is derived from its payload.
   uint8_t aux = 0;
-  /// The round's broadcast payload, shipped verbatim to every listed site.
-  /// The modeled books charge its size once per listed site; envelope bytes
-  /// (kind, aux, framing, CRC) are never accounted — the model charges
-  /// payloads, not transport overhead.
-  std::vector<uint8_t> broadcast;
+  /// One payload per listed site, in the round's site order: payloads[i] is
+  /// shipped verbatim to sites[i]. kBatchEval sends every site the same
+  /// bytes; the indexed rounds send each site only its own share. The
+  /// modeled books charge the bytes each listed site is sent; envelope
+  /// bytes (kind, aux, framing, CRC) are never accounted — the model
+  /// charges payloads, not transport overhead.
+  std::vector<std::vector<uint8_t>> payloads;
 };
 
 // --- Wire framing (kSocket) -------------------------------------------------
@@ -136,13 +138,14 @@ struct RoundSpec {
 // WireMessage tag; replies start with a status byte. See DESIGN.md §13.
 
 // Bumped whenever a message or reply format changes, so a stale worker fails
-// at Hello instead of decoding garbage. 5: dist refresh rows are one CSR
-// row per in-node (WeightedBoundaryRows), with no groups or aliases.
-inline constexpr uint8_t kWireVersion = 5;
+// at Hello instead of decoding garbage. 6: each indexed site is sent its own
+// payload — a sweep site the sub-batch of the queries it stores an endpoint
+// of, a refresh site only its own index entries, with no site lists.
+inline constexpr uint8_t kWireVersion = 6;
 
 enum class WireMessage : uint8_t {
   kHello = 0,     // u8 version, varint site, fragment bytes -> ok reply
-  kRound = 1,     // u8 kind, u8 aux, broadcast bytes -> ok reply + payload
+  kRound = 1,     // u8 kind, u8 aux, site payload bytes -> ok reply + payload
   kSync = 2,      // fragment bytes (post-update state) -> ok reply
   kShutdown = 3,  // empty                              -> ok reply, then exit
 };
@@ -183,11 +186,11 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Runs one round on `sites`: reply payload per listed site (in order)
-  /// plus the maximum per-site compute time, for the modeled clock. On any
-  /// site failure (dead/hung worker, corrupt frame, a spec that does not
-  /// decode) returns a non-OK status and the round's replies must not be
-  /// used. Sites evaluated in process (every site on kSim, degraded sites
+  /// Runs one round on `sites`, shipping spec.payloads[i] to sites[i]: reply
+  /// payload per listed site (in order) plus the maximum per-site compute
+  /// time, for the modeled clock. On any site failure (dead/hung worker,
+  /// corrupt frame, a spec that does not decode) returns a non-OK status
+  /// and the round's replies must not be used. Sites evaluated in process (every site on kSim, degraded sites
   /// on kSocket) run RunSiteRound over the coordinator's fragment and
   /// `local`'s context for that site.
   virtual Status Execute(const std::vector<SiteId>& sites,

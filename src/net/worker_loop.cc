@@ -125,13 +125,13 @@ void ServeConnection(int fd) {
                 Status::InvalidArgument("worker: round before hello");
             break;
           }
-          const std::vector<uint8_t> broadcast(
+          const std::vector<uint8_t> payload(
               body.begin() + static_cast<ptrdiff_t>(dec.position()),
               body.end());
           StopWatch watch;
           Result<std::vector<uint8_t>> r =
               RunSiteRound(*fragment, ctx.get(), static_cast<RoundKind>(kind),
-                           aux, broadcast);
+                           aux, payload);
           const double compute_ms = watch.ElapsedMs();
           if (!r.ok()) {
             reply_status = r.status();

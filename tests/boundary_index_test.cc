@@ -393,6 +393,85 @@ TEST(BoundaryIndexDifferentialTest, MixedClassBatchesAgreeWithBes) {
   }
 }
 
+// Per-site sweep payloads: an endpoint site is sent only the queries it
+// stores an endpoint of, and answers only those, so a warm indexed batch
+// ships strictly fewer bytes than the same queries sent one per batch. The
+// batch saves each site's per-payload query count, and its queries at one
+// site share that site's copy of each automaton. Every answer, batched and
+// single, matches the centralized oracle.
+void ExpectBatchShipsLessThanSingles(const Graph& g, size_t num_sites,
+                                     Rng* rng,
+                                     const std::vector<Query>& batch) {
+  const Fragmentation frag = Fragmentation::Build(
+      g, RandomPartition(g.NumNodes(), num_sites, rng), num_sites);
+  Cluster cluster(&frag, NetworkModel{});
+  PartialEvalOptions options;
+  options.reach_path = ReachAnswerPath::kBoundaryIndex;
+  options.dist_path = DistAnswerPath::kBoundaryIndex;
+  options.rpq_path = RpqAnswerPath::kBoundaryIndex;
+  PartialEvalEngine engine(&cluster, options);
+  ASSERT_TRUE(engine.EvaluateBatch(batch).status.ok());  // fills the indexes
+
+  const BatchAnswer batched = engine.EvaluateBatch(batch);
+  ASSERT_TRUE(batched.status.ok()) << batched.status.ToString();
+  EXPECT_EQ(batched.metrics.rounds, 1u);  // warm: the sweep round alone
+  size_t singles = 0;
+  for (size_t q = 0; q < batch.size(); ++q) {
+    const BatchAnswer single =
+        engine.EvaluateBatch(std::span<const Query>(&batch[q], 1));
+    ASSERT_TRUE(single.status.ok()) << single.status.ToString();
+    singles += single.metrics.traffic_bytes;
+    const Query& query = batch[q];
+    for (const QueryAnswer* answer :
+         {&batched.answers[q], &single.answers[0]}) {
+      EXPECT_EQ(answer->reachable, testing_util::OracleReachable(g, query))
+          << "kind=" << static_cast<int>(query.kind) << " s=" << query.source
+          << " t=" << query.target;
+      if (query.kind == QueryKind::kDist && answer->reachable) {
+        EXPECT_EQ(answer->distance,
+                  testing_util::OracleDistance(g, query.source, query.target));
+      }
+    }
+  }
+  EXPECT_LT(batched.metrics.traffic_bytes, singles);
+}
+
+TEST(IndexedBatchTrafficTest, ReachBatchShipsLessThanSingles) {
+  Rng rng(2025);
+  const size_t n = 200;
+  const Graph g = ErdosRenyi(n, 3 * n, 1, &rng);
+  ExpectBatchShipsLessThanSingles(
+      g, /*num_sites=*/8, &rng, testing_util::RandomReachBatch(n, 16, &rng));
+}
+
+TEST(IndexedBatchTrafficTest, MixedClassBatchShipsLessThanSingles) {
+  Rng rng(4242);
+  const size_t n = 200, kLabels = 3;
+  const Graph g = ErdosRenyi(n, 3 * n, kLabels, &rng);
+  std::vector<QueryAutomaton> automata;
+  for (size_t r = 0; r < 3; ++r) {
+    automata.push_back(
+        QueryAutomaton::FromRegex(Regex::Random(3, kLabels, &rng)).value());
+  }
+  std::vector<Query> batch;
+  for (size_t q = 0; q < 24; ++q) {
+    const NodeId s = static_cast<NodeId>(rng.Uniform(n));
+    const NodeId t = static_cast<NodeId>(rng.Uniform(n));
+    switch (q % 3) {
+      case 0:
+        batch.push_back(Query::Reach(s, t));
+        break;
+      case 1:
+        batch.push_back(
+            Query::Dist(s, t, static_cast<uint32_t>(1 + rng.Uniform(6))));
+        break;
+      default:
+        batch.push_back(Query::Rpq(s, t, automata[rng.Uniform(3)]));
+    }
+  }
+  ExpectBatchShipsLessThanSingles(g, /*num_sites=*/4, &rng, batch);
+}
+
 // Degenerate fragmentations: a single site (no boundary at all) and as many
 // sites as nodes (everything is boundary).
 TEST(BoundaryIndexDifferentialTest, DegenerateFragmentCounts) {

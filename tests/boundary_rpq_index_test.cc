@@ -437,14 +437,13 @@ TEST(RpqSiteCacheTest, WarmBatchBuildsNoProductAtAnySite) {
   const BatchBroadcast sweep = EncodeBatchBroadcast(batch, wire);
   ASSERT_EQ(sweep.automata.size(), 2u);
 
-  // The refresh broadcast: one rpq index entry per automaton, every site.
+  // The refresh payload every site is sent: one rpq index entry per
+  // automaton.
   Encoder refresh;
   refresh.PutVarint(sweep.automata.size());
   for (const CanonicalAutomaton& canon : sweep.automata) {
     refresh.PutU8(static_cast<uint8_t>(QueryKind::kRpq));
     canon.automaton.Serialize(&refresh);
-    refresh.PutVarint(kSites);
-    for (SiteId site = 0; site < kSites; ++site) refresh.PutVarint(site);
   }
 
   FragmentContextCache contexts(&frag);

@@ -334,10 +334,10 @@ void ServeTampered(
     if (type == WireMessage::kRound) {
       const auto kind = static_cast<RoundKind>(dec.GetU8());
       const uint8_t aux = dec.GetU8();
-      const std::vector<uint8_t> broadcast(
+      const std::vector<uint8_t> request(
           req.begin() + static_cast<ptrdiff_t>(dec.position()), req.end());
       payload =
-          RunSiteRound(*fragment, ctx.get(), kind, aux, broadcast).value();
+          RunSiteRound(*fragment, ctx.get(), kind, aux, request).value();
       tamper(kind, &payload);
     } else {
       if (type == WireMessage::kHello) {
@@ -921,7 +921,7 @@ TEST(TransportFailureTest, HalfInstalledRefreshIsRebuiltByTheNextBatch) {
   }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
 }
 
-/// Drops the last rows frame of a refresh reply.
+/// Drops the last frame of a refresh or sweep reply.
 void DropLastFrame(std::vector<uint8_t>* payload) {
   Decoder dec(*payload);
   std::vector<std::vector<uint8_t>> frames;
@@ -980,6 +980,60 @@ TEST(TransportFailureTest, RowsReplyMissingAFrameKeepsSiteDirty) {
               BfsDistance(ex.graph, ex.pat, ex.mark));
     EXPECT_TRUE(engine.boundary_index()->DirtySites().empty());
     EXPECT_TRUE(engine.boundary_dist_index()->DirtySites().empty());
+  }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
+}
+
+/// Appends a flag-only frame to a sweep reply: the frame a site answering
+/// the whole batch would write for a query it stores no endpoint of.
+void AppendFlagOnlyFrame(std::vector<uint8_t>* payload) {
+  Encoder reply;
+  reply.PutRaw(*payload);
+  reply.PutFrame({0});
+  *payload = reply.TakeBuffer();
+}
+
+// A sweep reply carries one frame per query its site was sent. Site 2 is
+// sent two of the batch's three queries (Ann -> Walt has no endpoint
+// there); it answers once with a frame appended for the query it was not
+// sent, and once with its last frame dropped. Each batch is Corruption,
+// and the next batch is served with the oracle's answers.
+TEST(TransportFailureTest, SweepReplyFrameCountMustMatchTheSiteQueries) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  const std::vector<Query> batch = {Query::Reach(ex.pat, ex.mark),
+                                    Query::Reach(ex.ann, ex.mark),
+                                    Query::Reach(ex.ann, ex.walt)};
+  ASSERT_EQ(frag.site_of(ex.pat), 2u);
+  ASSERT_EQ(frag.site_of(ex.mark), 2u);
+  ASSERT_NE(frag.site_of(ex.ann), 2u);
+  ASSERT_NE(frag.site_of(ex.walt), 2u);
+  const std::vector<Forgery> forgeries = {
+      {RoundKind::kIndexSweep, AppendFlagOnlyFrame},
+      {RoundKind::kIndexSweep, DropLastFrame}};
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  ServeForgeries(&workers, &forgeries, &applied);
+  {
+    Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
+                    ConnectOptions(workers));
+    PartialEvalOptions options;
+    options.reach_path = ReachAnswerPath::kBoundaryIndex;
+    PartialEvalEngine engine(&cluster, options);
+    for (size_t i = 0; i < forgeries.size(); ++i) {
+      const BatchAnswer rejected = engine.EvaluateBatch(batch);
+      ASSERT_FALSE(rejected.status.ok()) << "forgery " << i;
+      EXPECT_EQ(rejected.status.code(), StatusCode::kCorruption)
+          << "forgery " << i << ": " << rejected.status.ToString();
+      EXPECT_EQ(applied.load(), i + 1) << "forgery " << i << " never sent";
+    }
+    const BatchAnswer served = engine.EvaluateBatch(batch);
+    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
+    for (size_t q = 0; q < batch.size(); ++q) {
+      EXPECT_EQ(served.answers[q].reachable,
+                Reaches(ex.graph, batch[q].source, batch[q].target))
+          << "query " << q;
+    }
   }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
 }
 

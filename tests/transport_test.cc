@@ -225,16 +225,14 @@ TEST(TransportBackendTest, SocketSpawnAnswersAndBooksMatchSim) {
 }
 
 /// A refresh round asking `sites` for the reach index's rows (DESIGN.md
-/// §13.1): one index entry, kind kReach, listing every site.
+/// §13.1): each site is sent one index entry, kind kReach.
 RoundSpec ReachRowsSpec(const std::vector<SiteId>& sites) {
-  Encoder refresh;
-  refresh.PutVarint(1);
-  refresh.PutU8(static_cast<uint8_t>(QueryKind::kReach));
-  refresh.PutVarint(sites.size());
-  for (SiteId site : sites) refresh.PutVarint(site);
+  Encoder entry;
+  entry.PutVarint(1);
+  entry.PutU8(static_cast<uint8_t>(QueryKind::kReach));
   RoundSpec spec;
   spec.kind = RoundKind::kIndexRows;
-  spec.broadcast = refresh.TakeBuffer();
+  spec.payloads.assign(sites.size(), entry.buffer());
   return spec;
 }
 
@@ -289,10 +287,12 @@ TEST(TransportBackendTest, SimRejectsUndecodableSpecWithoutCharging) {
   const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
   Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3);
   FragmentContextCache local(&frag);
-  const auto spec = [](RoundKind kind, std::vector<uint8_t> broadcast) {
+  // Every site of the round is sent the same undecodable payload.
+  const auto spec = [&frag](RoundKind kind,
+                            const std::vector<uint8_t>& payload) {
     RoundSpec out;
     out.kind = kind;
-    out.broadcast = std::move(broadcast);
+    out.payloads.assign(frag.num_fragments(), payload);
     return out;
   };
   std::vector<RoundSpec> specs;
@@ -333,16 +333,16 @@ TEST(TransportBackendTest, SimRejectsUndecodableSpecWithoutCharging) {
   std::vector<uint8_t> trailing = rpq;
   trailing.push_back(0);
   for (const RoundKind kind : {RoundKind::kBatchEval, RoundKind::kIndexSweep}) {
-    for (const std::vector<uint8_t>* broadcast :
+    for (const std::vector<uint8_t>* payload :
          {&reach, &truncated_automaton, &ref_past_table, &too_many_states,
           &trailing}) {
-      specs.push_back(spec(kind, *broadcast));
+      specs.push_back(spec(kind, *payload));
     }
   }
 
-  // The refresh broadcast: an index kind past kRpq, an rpq entry whose
+  // The refresh payload: an index kind past kRpq, an rpq entry whose
   // automaton is cut short, and a stray byte after the entries.
-  std::vector<uint8_t> rows = ReachRowsSpec({0, 1, 2}).broadcast;
+  std::vector<uint8_t> rows = ReachRowsSpec({0, 1, 2}).payloads[0];
   std::vector<uint8_t> unknown_index = rows;
   unknown_index[1] = static_cast<uint8_t>(QueryKind::kRpq) + 1;
   Encoder rpq_rows;
@@ -353,9 +353,9 @@ TEST(TransportBackendTest, SimRejectsUndecodableSpecWithoutCharging) {
   std::vector<uint8_t> rows_truncated_automaton = rpq_rows.TakeBuffer();
   rows_truncated_automaton.pop_back();
   rows.push_back(0);
-  for (std::vector<uint8_t>* broadcast :
+  for (std::vector<uint8_t>* payload :
        {&unknown_index, &rows_truncated_automaton, &rows}) {
-    specs.push_back(spec(RoundKind::kIndexRows, *broadcast));
+    specs.push_back(spec(RoundKind::kIndexRows, *payload));
   }
 
   for (size_t i = 0; i < specs.size(); ++i) {
