@@ -128,11 +128,13 @@ void BoundaryDistIndex::Ensure() {
                   "Ensure with dirty fragments: refresh their rows first");
   }
 
+  size_t num_entries = 0;
   node_of_.clear();
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const WeightedBoundaryRows& fr = fragment_rows_[s];
     node_base_[s + 1] =
         node_base_[s] + static_cast<uint32_t>(fr.in_globals.size());
+    num_entries += fr.targets.size();
     for (uint32_t i = 0; i < fr.in_globals.size(); ++i) {
       node_of_.emplace(fr.in_globals[i], node_base_[s] + i);
     }
@@ -146,29 +148,39 @@ void BoundaryDistIndex::Ensure() {
     }
   }
 
-  // Reverse CSR: one counting sort of the rows' edges by target; a
-  // dead-end entry gets no edge.
-  rev_offsets_.assign(n + 1, 0);
-  for (SiteId s = 0; s < num_fragments_; ++s) {
-    for (const uint32_t j : fragment_rows_[s].targets) {
-      const uint32_t to = oset_nodes_[s][j];
-      if (to != kNoNode) ++rev_offsets_[to + 1];
-    }
-  }
-  for (uint32_t v = 0; v < n; ++v) rev_offsets_[v + 1] += rev_offsets_[v];
-  rev_targets_.resize(rev_offsets_.back());
-  rev_weights_.resize(rev_offsets_.back());
-  std::vector<size_t> cursor(rev_offsets_.begin(), rev_offsets_.end() - 1);
+  // Forward CSR straight from the rows, in node order; a dead-end entry
+  // gets no edge.
+  fwd_offsets_.assign(1, 0);
+  fwd_offsets_.reserve(n + 1);
+  fwd_targets_.clear();
+  fwd_targets_.reserve(num_entries);
+  fwd_weights_.clear();
+  fwd_weights_.reserve(num_entries);
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const WeightedBoundaryRows& fr = fragment_rows_[s];
-    for (uint32_t i = 0; i < fr.in_globals.size(); ++i) {
+    for (size_t i = 0; i < fr.in_globals.size(); ++i) {
       for (size_t e = fr.offsets[i]; e < fr.offsets[i + 1]; ++e) {
         const uint32_t to = oset_nodes_[s][fr.targets[e]];
         if (to == kNoNode) continue;
-        const size_t at = cursor[to]++;
-        rev_targets_[at] = node_base_[s] + i;
-        rev_weights_[at] = fr.hops[e];
+        fwd_targets_.push_back(to);
+        fwd_weights_.push_back(fr.hops[e]);
       }
+      fwd_offsets_.push_back(fwd_targets_.size());
+    }
+  }
+
+  // Reverse CSR: one counting sort of the forward edges by target.
+  rev_offsets_.assign(n + 1, 0);
+  for (const uint32_t to : fwd_targets_) ++rev_offsets_[to + 1];
+  for (uint32_t v = 0; v < n; ++v) rev_offsets_[v + 1] += rev_offsets_[v];
+  rev_targets_.resize(fwd_targets_.size());
+  rev_weights_.resize(fwd_targets_.size());
+  std::vector<size_t> cursor(rev_offsets_.begin(), rev_offsets_.end() - 1);
+  for (uint32_t u = 0; u < n; ++u) {
+    for (size_t e = fwd_offsets_[u]; e < fwd_offsets_[u + 1]; ++e) {
+      const size_t at = cursor[fwd_targets_[e]]++;
+      rev_targets_[at] = u;
+      rev_weights_[at] = fwd_weights_[e];
     }
   }
 
@@ -237,36 +249,24 @@ uint64_t BoundaryDistIndex::ShortestPath(std::span<const Seed> sources,
     heap[side].pop();
     if (d > dist_[side][v]) continue;  // stale entry
     ++settled_nodes_;
-    // The per-query bound filter: localEvald never ships a local segment
-    // above the bound, so the BES-equivalent graph excludes such edges.
-    if (side == 1) {
-      for (size_t e = rev_offsets_[v]; e < rev_offsets_[v + 1]; ++e) {
-        if (rev_weights_[e] > max_edge_weight) continue;
-        relax(1, rev_targets_[e], d + rev_weights_[e]);
-      }
-      continue;
-    }
-    // The forward side walks v's installed row, found through v's fragment
-    // (the last one whose node range starts at or below v); a dead-end
-    // entry has no edge.
-    const SiteId s = static_cast<SiteId>(
-        std::upper_bound(node_base_.begin(), node_base_.end(), v) -
-        node_base_.begin() - 1);
-    const WeightedBoundaryRows& fr = fragment_rows_[s];
-    const uint32_t i = v - node_base_[s];
-    for (size_t e = fr.offsets[i]; e < fr.offsets[i + 1]; ++e) {
-      const uint32_t to = oset_nodes_[s][fr.targets[e]];
-      if (to == kNoNode || fr.hops[e] > max_edge_weight) continue;
-      relax(0, to, d + fr.hops[e]);
+    const auto& offsets = side == 0 ? fwd_offsets_ : rev_offsets_;
+    const auto& tgts = side == 0 ? fwd_targets_ : rev_targets_;
+    const auto& weights = side == 0 ? fwd_weights_ : rev_weights_;
+    for (size_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      // The per-query bound filter: localEvald never ships a local segment
+      // above the bound, so the BES-equivalent graph excludes such edges.
+      if (weights[e] > max_edge_weight) continue;
+      relax(side, tgts[e], d + weights[e]);
     }
   }
   return best;
 }
 
 size_t BoundaryDistIndex::ByteSize() const {
-  size_t bytes = node_of_.size() * (sizeof(NodeId) + sizeof(uint32_t)) +
-                 rev_offsets_.size() * sizeof(size_t) +
-                 rev_targets_.size() * 2 * sizeof(uint32_t);
+  size_t bytes =
+      node_of_.size() * (sizeof(NodeId) + sizeof(uint32_t)) +
+      (fwd_offsets_.size() + rev_offsets_.size()) * sizeof(size_t) +
+      (fwd_targets_.size() + rev_targets_.size()) * 2 * sizeof(uint32_t);
   for (size_t s = 0; s < num_fragments_; ++s) {
     const WeightedBoundaryRows& fr = fragment_rows_[s];
     bytes += fr.offsets.size() * sizeof(size_t) +

@@ -58,11 +58,9 @@ struct WeightedBoundaryRows {
 ///
 /// Incremental maintenance and thread-safety mirror BoundaryReachIndex: the
 /// owner marks fragments dirty on the InvalidateFragment path, re-fetches
-/// only the dirty fragments' rows, and Ensure() re-resolves the rows' oset
-/// tables and rebuilds the reverse CSR from them. The forward side of a
-/// search walks the installed rows themselves, so the index keeps one copy
-/// of its edges' forward form. No internal locking; the engine's
-/// single-dispatcher discipline provides the exclusion.
+/// only the dirty fragments' rows, and Ensure() rebuilds the CSR pair
+/// (forward + reverse) from the per-fragment rows. No internal locking;
+/// the engine's single-dispatcher discipline provides the exclusion.
 class BoundaryDistIndex {
  public:
   /// What InNode() and oset_nodes() hold for a global that is no in-node.
@@ -82,9 +80,8 @@ class BoundaryDistIndex {
   std::vector<SiteId> DirtySites() const;
   bool dirty() const { return stale_; }
 
-  /// Resolves every fragment's oset table to nodes and rebuilds the reverse
-  /// CSR from the cached per-fragment rows. Requires DirtySites() empty.
-  /// Idempotent when clean.
+  /// Rebuilds the forward/reverse CSR from the cached per-fragment rows.
+  /// Requires DirtySites() empty. Idempotent when clean.
   void Ensure();
 
   /// The node of each entry of the fragment's installed oset table — dist
@@ -119,7 +116,7 @@ class BoundaryDistIndex {
   // --- observability -------------------------------------------------------
   /// Nodes of the graph: the fragments' in-nodes, summed.
   size_t num_boundary_nodes() const { return node_base_.back(); }
-  size_t num_edges() const { return rev_targets_.size(); }
+  size_t num_edges() const { return fwd_targets_.size(); }
   /// Full CSR rebuilds performed (dirty-epoch count).
   size_t rebuild_count() const { return rebuild_count_; }
   /// ShortestPath calls, and total nodes settled across them — the indexed
@@ -137,12 +134,14 @@ class BoundaryDistIndex {
   std::vector<bool> dirty_;
   bool stale_ = true;  // CSR out of date w.r.t. the rows
 
-  // Rebuilt structure (valid while !stale_). The installed rows, read
-  // through oset_nodes_, answer the s-side frontier; the reverse CSR the
-  // t-side frontier.
+  // Rebuilt structure (valid while !stale_). Forward CSR answers the s-side
+  // frontier, reverse CSR the t-side frontier.
   std::vector<uint32_t> node_base_;                // num_fragments_ + 1
   std::unordered_map<NodeId, uint32_t> node_of_;   // in-node global -> node
   std::vector<std::vector<uint32_t>> oset_nodes_;  // per fragment
+  std::vector<size_t> fwd_offsets_;
+  std::vector<uint32_t> fwd_targets_;
+  std::vector<uint32_t> fwd_weights_;
   std::vector<size_t> rev_offsets_;
   std::vector<uint32_t> rev_targets_;
   std::vector<uint32_t> rev_weights_;
