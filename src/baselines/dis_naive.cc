@@ -68,8 +68,8 @@ QueryAnswer DisDistNaive(Cluster* cluster, const BoundedReachQuery& query) {
   const Graph g = ShipAndReassemble(cluster, query_enc.size());
   StopWatch watch;
   const uint32_t dist = CentralizedDistance(g, query.source, query.target);
-  answer.distance = dist == kInfDistance ? kInfWeight : dist;
   answer.reachable = dist != kInfDistance && dist <= query.bound;
+  answer.distance = answer.reachable ? dist : kInfWeight;
   cluster->AddCoordinatorWorkMs(watch.ElapsedMs());
   answer.metrics = cluster->EndQuery();
   return answer;

@@ -6,9 +6,11 @@
 
 namespace pereach {
 
-/// Result of one distributed query run: the Boolean answer, the exact
-/// distance for bounded queries (kInfWeight when unreachable or not
-/// applicable), and the run's cost metrics.
+/// Result of one distributed query run: the Boolean answer, the distance
+/// for bounded queries, and the run's cost metrics. For a bounded query,
+/// `distance` is the distance when within the bound and kInfWeight
+/// otherwise, so `reachable == (distance != kInfWeight)`; the other classes
+/// do not read it.
 struct QueryAnswer {
   bool reachable = false;
   uint64_t distance = kInfWeight;

@@ -11,7 +11,8 @@ namespace pereach {
 /// evaluation. Sites run localEvald producing min-plus equations with
 /// locally measured distances; the coordinator runs Dijkstra over the
 /// weighted dependency graph (evalDGd). Same guarantees as disReach
-/// (Theorem 2). answer.distance is the exact distance when <= l.
+/// (Theorem 2). answer.distance is the exact distance when <= l, and
+/// kInfWeight otherwise.
 ///
 /// Thin single-query wrapper over PartialEvalEngine (src/engine).
 QueryAnswer DisDist(Cluster* cluster, const BoundedReachQuery& query);

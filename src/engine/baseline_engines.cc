@@ -28,8 +28,8 @@ Status NaiveShipAllEngine::RunBatch(std::span<const Query> queries,
         break;
       case QueryKind::kDist: {
         const uint32_t d = CentralizedDistance(g, q.source, q.target);
-        answer.distance = d == kInfDistance ? kInfWeight : d;
         answer.reachable = d != kInfDistance && d <= q.bound;
+        answer.distance = answer.reachable ? d : kInfWeight;
         break;
       }
       case QueryKind::kRpq:

@@ -1,5 +1,8 @@
 #include "src/engine/fragment_context.h"
 
+#include <algorithm>
+#include <span>
+
 namespace pereach {
 
 namespace {
@@ -93,31 +96,29 @@ const FragmentContext::ReachRows& FragmentContext::reach_rows(
   return *rows_;
 }
 
-const FragmentContext::DistRows& FragmentContext::dist_rows(
-    const Fragment& f) {
-  if (!dist_rows_.has_value()) {
-    EnsureOset(f);
-    DistRows rows;
-    rows.oset_globals = oset_globals_;
-    rows.offsets.reserve(f.in_nodes().size() + 1);
-    rows.offsets.push_back(0);
-    // One unbounded BFS per in-node, read at the oset: the s-side sweep's
-    // computation (EncodeDistSweepFrame) without its bound.
-    for (NodeId in : f.in_nodes()) {
-      rows.in_globals.push_back(f.ToGlobal(in));
-      const std::vector<uint32_t> from_in = BfsDistances(f.local_graph(), in);
-      for (uint32_t j = 0; j < oset_locals_.size(); ++j) {
-        const uint32_t hops = from_in[oset_locals_[j]];
-        if (hops == kInfDistance) continue;
-        rows.targets.push_back(j);
-        rows.hops.push_back(hops);
-      }
-      rows.offsets.push_back(rows.targets.size());
-    }
-    dist_rows_ = std::move(rows);
-    ++section_builds_;
+BoundaryRows FragmentContext::dist_rows(const Fragment& f) {
+  EnsureOset(f);
+  const Graph& g = f.local_graph();
+  BoundaryRows rows;
+  rows.offsets.reserve(g.NumNodes() + 1);
+  rows.offsets.push_back(0);
+  rows.targets.reserve(g.NumEdges());
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const std::span<const NodeId> out = g.OutNeighbors(v);
+    const auto row = rows.targets.insert(rows.targets.end(), out.begin(),
+                                         out.end());
+    std::sort(row, rows.targets.end());
+    rows.targets.erase(std::unique(row, rows.targets.end()),
+                       rows.targets.end());
+    rows.offsets.push_back(rows.targets.size());
   }
-  return *dist_rows_;
+  rows.oset_keys.assign(oset_globals_.begin(), oset_globals_.end());
+  rows.oset_comp.assign(oset_locals_.begin(), oset_locals_.end());
+  for (const NodeId in : f.in_nodes()) {
+    rows.in_keys.push_back(f.ToGlobal(in));
+    rows.in_comp.push_back(in);
+  }
+  return rows;
 }
 
 const LabelIndex& FragmentContext::label_index(const Fragment& f) {

@@ -13,7 +13,7 @@
 #include "src/core/local_eval.h"
 #include "src/fragment/fragmentation.h"
 #include "src/graph/algorithms.h"
-#include "src/index/boundary_dist_index.h"
+#include "src/index/boundary_index.h"
 #include "src/regex/query_automaton.h"
 #include "src/util/common.h"
 
@@ -28,10 +28,6 @@ namespace pereach {
 ///  - the closure rows: per in-node SCC group, the set of oset indices the
 ///    group reaches locally — the whole query-independent part of localEval,
 ///    leaving only O(|cond|) per-query work for s and t;
-///  - the dist rows: per in-node, the local shortest-path hop counts to the
-///    oset — localEvald's per-in-node equations without the bound, shipped
-///    as they are to the coordinator's weighted boundary graph
-///    (BoundaryDistIndex);
 ///  - the label index (regular reachability compatibility masks);
 ///  - the rpq products: per CANONICAL AUTOMATON (signature-keyed, LRU
 ///    capped), the fragment's label-compatible product graph and its
@@ -58,13 +54,6 @@ class FragmentContext {
   /// Default LRU cap for the per-automaton rpq products (matches
   /// PartialEvalOptions::rpq_cache_entries).
   static constexpr size_t kDefaultRpqCacheCap = 8;
-
-  /// Weighted (min-plus) boundary rows, one per in-node in f.in_nodes()
-  /// order: the local shortest-path hop count to every virtual node it
-  /// reaches — localEvald's equation of that in-node, computed UNBOUNDED so
-  /// one cache serves every query bound (the per-query bound filter applies
-  /// at lookup). Held in the wire form the refresh round ships.
-  using DistRows = WeightedBoundaryRows;
 
   /// Query-independent product structure of this fragment for ONE
   /// canonical automaton (regular reachability, §5): the label-compatible
@@ -112,7 +101,11 @@ class FragmentContext {
 
   const ReachRows& reach_rows(const Fragment& f);
 
-  const DistRows& dist_rows(const Fragment& f);
+  /// The dist refresh round's rows: the local graph itself, each node its
+  /// own component (node v is component v), successors ascending and
+  /// deduplicated, keyed by global id. Built on each call, not cached: a
+  /// fragment ships them once per dirty epoch (BoundaryDistIndex).
+  BoundaryRows dist_rows(const Fragment& f);
 
   const LabelIndex& label_index(const Fragment& f);
 
@@ -157,7 +150,6 @@ class FragmentContext {
   std::unordered_map<NodeId, uint32_t> oset_index_;
   std::vector<uint32_t> oset_comp_;  // built with cond on demand
   std::optional<ReachRows> rows_;
-  std::optional<DistRows> dist_rows_;
   std::optional<LabelIndex> label_index_;
   /// Evicts the least recently used product not touched since the last
   /// BeginRpqRound; returns false when every slot is pinned.

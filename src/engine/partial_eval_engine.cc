@@ -24,10 +24,9 @@ namespace pereach {
 // byte is decoded TOLERANTLY (Decoder::OnError::kStatus): a serving
 // transport can fail or frame garbage, and the contract is that this fails
 // the batch with a Status — rejecting its queries — never the process.
-// The indexed path validates reply CONTENT too (the rows decoders, the
-// sweep frames in RunIndexed), so a CRC-valid reply naming a non-boundary
-// node, an index past its table or an out-of-bound distance is rejected the
-// same way.
+// The indexed path validates reply CONTENT too (the rows decoder, the
+// sweep frames in RunIndexed), so a CRC-valid reply naming a component past
+// its fragment's count is rejected the same way.
 
 namespace {
 
@@ -53,12 +52,12 @@ bool SplitFrames(const std::vector<uint8_t>& reply, size_t count,
   return dec.Done();
 }
 
-/// Decodes a reach or rpq query's endpoint nodes from its sweep frames: the
-/// s-side frame (from s's site) lists s's component first, the t-side frame
-/// (t's site; the same decoder when one site stores both) lists t's
-/// component last. A reply is not trusted: false unless both flags are set
-/// and each component id names a node of `index`.
-bool DecodeEndpointNodes(const BoundaryReachIndex& index, SiteId s_site,
+/// Decodes a query's endpoint nodes from its sweep frames, whatever its
+/// class: the s-side frame (from s's site) lists s's component first, the
+/// t-side frame (t's site; the same decoder when one site stores both)
+/// lists t's component last. A reply is not trusted: false unless both
+/// flags are set and each component id names a node of `index`.
+bool DecodeEndpointNodes(const GluedFragments& index, SiteId s_site,
                          SiteId t_site, Decoder* s_frame, Decoder* t_frame,
                          uint32_t* s_node, uint32_t* t_node) {
   const uint8_t s_flags = s_frame->GetU8();
@@ -66,52 +65,8 @@ bool DecodeEndpointNodes(const BoundaryReachIndex& index, SiteId s_site,
   const uint8_t t_flags = t_frame == s_frame ? s_flags : t_frame->GetU8();
   *t_node = index.Node(t_site, t_frame->GetVarint());
   return (s_flags & kFrameHasS) && (t_flags & kFrameHasT) && s_frame->ok() &&
-         t_frame->ok() && *s_node != BoundaryReachIndex::kNoNode &&
-         *t_node != BoundaryReachIndex::kNoNode;
-}
-
-/// Answers dist query `q` from its sweep frames (as DecodeEndpointNodes
-/// takes them): the s-side exit distances spliced onto the t-side entry
-/// distances through one bidirectional Dijkstra over the standing graph
-/// (edges above the bound filtered), then the minimum with the local
-/// short-circuit. A reply is not trusted: false unless every exit is inside
-/// s's installed oset table, every entry is an in-node of this epoch and
-/// every distance is within the bound (a site never ships a longer one),
-/// which also keeps the search's sums far from wrapping. An exit whose oset
-/// entry is a dead end seeds nothing.
-bool DecodeDistance(BoundaryDistIndex* index, const Query& q, SiteId s_site,
-                    Decoder* s_frame, Decoder* t_frame, uint64_t* distance) {
-  const uint8_t s_flags = s_frame->GetU8();
-  if (!(s_flags & kFrameHasS)) return false;
-  uint64_t local_dist = kInfWeight;
-  if (s_flags & kFrameHasLocalDist) {
-    local_dist = s_frame->GetVarint();
-    if (local_dist > q.bound) return false;
-  }
-  std::vector<BoundaryDistIndex::Seed> s_out;
-  const std::vector<uint32_t>& exits = index->oset_nodes(s_site);
-  uint32_t prev = 0;
-  for (size_t n = s_frame->GetCount(2); n > 0; --n) {
-    prev += static_cast<uint32_t>(s_frame->GetVarint());
-    const uint64_t hops = s_frame->GetVarint();
-    if (prev >= exits.size() || hops > q.bound) return false;
-    if (exits[prev] != BoundaryDistIndex::kNoNode) {
-      s_out.push_back({exits[prev], hops});
-    }
-  }
-
-  const uint8_t t_flags = t_frame == s_frame ? s_flags : t_frame->GetU8();
-  if (!(t_flags & kFrameHasT)) return false;
-  std::vector<BoundaryDistIndex::Seed> t_in;
-  for (size_t n = t_frame->GetCount(2); n > 0; --n) {
-    const uint32_t entry = index->InNode(t_frame->GetVarint());
-    const uint64_t hops = t_frame->GetVarint();
-    if (entry == BoundaryDistIndex::kNoNode || hops > q.bound) return false;
-    t_in.push_back({entry, hops});
-  }
-  if (!s_frame->ok() || !t_frame->ok()) return false;
-  *distance = std::min(local_dist, index->ShortestPath(s_out, t_in, q.bound));
-  return true;
+         t_frame->ok() && *s_node != GluedFragments::kNoNode &&
+         *t_node != GluedFragments::kNoNode;
 }
 
 /// The automaton table of the batch `wire`, with no bytes: every regular
@@ -170,8 +125,8 @@ std::vector<uint8_t> EncodeSubBatch(std::span<const Query> queries,
 /// the dist index, or one automaton's rpq entry.
 struct IndexEntry {
   QueryKind kind = QueryKind::kReach;
+  GluedFragments* rows = nullptr;       // every class
   BoundaryReachIndex* glued = nullptr;  // reach and rpq
-  BoundaryDistIndex* dist = nullptr;    // dist
   const CanonicalAutomaton* automaton = nullptr;  // rpq
   std::vector<SiteId> dirty = {};
 };
@@ -285,9 +240,12 @@ Status PartialEvalEngine::RunBatch(std::span<const Query> queries,
         if (!frame.Done()) return MalformedReply("site reply frame");
         pa.AddToSystem(&dist);
       }
-      answer.distance = dist.Evaluate(q.source);
-      answer.reachable =
-          answer.distance != kInfWeight && answer.distance <= q.bound;
+      // evalDGd's least fixpoint, reported only within the bound (the
+      // QueryAnswer contract): above it the value is a minimum over
+      // segment-bounded routes, not the distance.
+      const uint64_t d = dist.Evaluate(q.source);
+      answer.reachable = d <= q.bound;
+      answer.distance = answer.reachable ? d : kInfWeight;
       continue;
     }
     BooleanEquationSystem bes;
@@ -332,13 +290,15 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
     if (!boundary_) {
       boundary_ = std::make_unique<BoundaryReachIndex>(num_fragments);
     }
-    entries[0] = {.kind = QueryKind::kReach, .glued = boundary_.get()};
+    entries[0] = {.kind = QueryKind::kReach,
+                  .rows = boundary_.get(),
+                  .glued = boundary_.get()};
   }
   if (has(QueryKind::kDist)) {
     if (!boundary_dist_) {
       boundary_dist_ = std::make_unique<BoundaryDistIndex>(num_fragments);
     }
-    entries[1] = {.kind = QueryKind::kDist, .dist = boundary_dist_.get()};
+    entries[1] = {.kind = QueryKind::kDist, .rows = boundary_dist_.get()};
   }
   if (!table.automata.empty()) {
     if (!boundary_rpq_) {
@@ -347,10 +307,12 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
     }
     boundary_rpq_->BeginBatch();
     for (size_t r = 0; r < table.automata.size(); ++r) {
-      entries[2 + r] = {
-          .kind = QueryKind::kRpq,
-          .glued = &boundary_rpq_->GetEntry(table.automata[r].signature),
-          .automaton = &table.automata[r]};
+      BoundaryReachIndex* glued =
+          &boundary_rpq_->GetEntry(table.automata[r].signature);
+      entries[2 + r] = {.kind = QueryKind::kRpq,
+                        .rows = glued,
+                        .glued = glued,
+                        .automaton = &table.automata[r]};
     }
   }
   const auto entry_index = [&](size_t wi) -> size_t {
@@ -368,8 +330,7 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
   std::vector<std::vector<size_t>> site_entries(num_fragments);
   for (size_t ei = 0; ei < entries.size(); ++ei) {
     IndexEntry& e = entries[ei];
-    if (e.glued != nullptr) e.dirty = e.glued->DirtySites();
-    if (e.dist != nullptr) e.dirty = e.dist->DirtySites();
+    if (e.rows != nullptr) e.dirty = e.rows->DirtySites();
     for (SiteId site : e.dirty) site_entries[site].push_back(ei);
   }
   std::vector<SiteId> refresh_sites;
@@ -406,25 +367,18 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
     for (size_t ri = 0; ri < refresh_sites.size(); ++ri) {
       const SiteId site = refresh_sites[ri];
       for (size_t j = 0; j < frames[ri].size(); ++j) {
-        const IndexEntry& e = entries[site_entries[site][j]];
         Decoder& frame = frames[ri][j];
-        if (e.dist != nullptr) {
-          WeightedBoundaryRows rows = WeightedBoundaryRows::Deserialize(&frame);
-          if (!frame.Done()) return MalformedReply("weighted boundary rows");
-          e.dist->SetFragmentRows(site, std::move(rows));
-        } else {
-          BoundaryRows rows = BoundaryRows::Deserialize(&frame);
-          if (!frame.Done()) return MalformedReply("boundary rows");
-          e.glued->SetFragmentRows(site, std::move(rows));
-        }
+        BoundaryRows rows = BoundaryRows::Deserialize(&frame);
+        if (!frame.Done()) return MalformedReply("boundary rows");
+        entries[site_entries[site][j]].rows->SetFragmentRows(site,
+                                                             std::move(rows));
       }
     }
   }
   // Rebuild every index whose rows changed: this round's, and any a
   // rejected batch installed before its reply failed to decode.
   for (IndexEntry& e : entries) {
-    if (e.glued != nullptr) e.glued->Ensure();
-    if (e.dist != nullptr) e.dist->Ensure();
+    if (e.rows != nullptr) e.rows->Ensure();
   }
   if (!refresh_sites.empty()) {
     cluster_->AddCoordinatorWorkMs(build_watch.ElapsedMs());
@@ -433,9 +387,8 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
   // Sweep round over the ENDPOINT fragments only — the standing indexes
   // replace the all-sites equation broadcast. Each endpoint site is sent
   // the sub-batch of the queries it stores an endpoint of, in batch order,
-  // and answers each with one small frame: a component id per endpoint it
-  // stores (reach, rpq) or its bounded s-side / t-side distance lists
-  // (dist).
+  // and answers each with one endpoint frame: a component id per endpoint
+  // it stores.
   std::vector<std::vector<size_t>> site_queries(num_fragments);
   for (size_t wi = 0; wi < wire.size(); ++wi) {
     const Query& q = queries[wire[wi]];
@@ -457,14 +410,15 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
       cluster_->TryRound(sites, sweep, &contexts_);
   if (!round.ok()) return round.status();
 
-  // Assemble. A dist query is one bidirectional Dijkstra. A reach or rpq
-  // query is one set question on its glued graph: does a source reach
-  // t's node? The source is s's node for reach; for rpq it is every
-  // condensation successor of (s, u_s). (s, u_s) has no in-edges, so it is
-  // its own component and never (t, u_t)'s: the expansion is exact, and it
-  // hands the labels interior pairs they decide far more often than the
-  // start pair itself (DESIGN.md §9.3). Each glued graph answers its
-  // questions 64 lanes per word — no equation system is ever built.
+  // Assemble. A dist query is one bounded bidirectional BFS over the glued
+  // local graphs. A reach or rpq query is one set question on its glued
+  // graph: does a source reach t's node? The source is s's node for reach;
+  // for rpq it is every condensation successor of (s, u_s). (s, u_s) has no
+  // in-edges, so it is its own component and never (t, u_t)'s: the
+  // expansion is exact, and it hands the labels interior pairs they decide
+  // far more often than the start pair itself (DESIGN.md §9.3). Each glued
+  // graph answers its questions 64 lanes per word — no equation system is
+  // ever built.
   StopWatch assemble_watch;
   std::vector<std::vector<Decoder>> frames(num_fragments);
   for (size_t ri = 0; ri < sites.size(); ++ri) {
@@ -493,27 +447,22 @@ Status PartialEvalEngine::RunIndexed(std::span<const Query> queries,
     Decoder* s_frame = &frames[s_site][next_frame[s_site]++];
     Decoder* t_frame =
         t_site == s_site ? s_frame : &frames[t_site][next_frame[t_site]++];
-    if (q.kind == QueryKind::kDist) {
-      QueryAnswer& answer = (*answers)[wire[wi]];
-      if (!DecodeDistance(entries[ei].dist, q, s_site, s_frame, t_frame,
-                          &answer.distance)) {
-        return MalformedReply("dist sweep frame");
-      }
-      answer.reachable =
-          answer.distance != kInfWeight && answer.distance <= q.bound;
-      continue;
-    }
-    const BoundaryReachIndex& index = *entries[ei].glued;
     uint32_t s_node = 0;
     uint32_t t_node = 0;
-    if (!DecodeEndpointNodes(index, s_site, t_site, s_frame, t_frame, &s_node,
-                             &t_node)) {
+    if (!DecodeEndpointNodes(*entries[ei].rows, s_site, t_site, s_frame,
+                             t_frame, &s_node, &t_node)) {
       return MalformedReply("boundary sweep frame");
+    }
+    if (q.kind == QueryKind::kDist) {
+      QueryAnswer& answer = (*answers)[wire[wi]];
+      answer.distance = boundary_dist_->Distance(s_node, t_node, q.bound);
+      answer.reachable = answer.distance != kInfWeight;
+      continue;
     }
     const size_t offset = nodes.size();
     nodes.push_back(t_node);
     if (q.kind == QueryKind::kRpq) {
-      index.AppendSuccessors(s_node, &nodes);
+      entries[ei].glued->AppendSuccessors(s_node, &nodes);
     } else {
       nodes.push_back(s_node);
     }

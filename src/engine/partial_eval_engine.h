@@ -27,20 +27,20 @@ namespace pereach {
 /// or BES construction. Falls back to nothing: the label path is exact.
 enum class ReachAnswerPath : uint8_t { kBes = 0, kBoundaryIndex = 1 };
 
-/// How the coordinator resolves distance (bounded-reach) queries.
+/// How the coordinator resolves distance (bounded-reach) queries. Both
+/// report the distance only within the bound, kInfWeight above it
+/// (QueryAnswer::distance).
 ///
 /// kBes is the paper's assembling phase: every site ships its min-plus
 /// boundary equations per query and the coordinator solves a fresh
 /// DistanceEquationSystem with Dijkstra (evalDGd).
 ///
-/// kBoundaryIndex short-circuits the assembling with a standing
-/// coordinator-side WEIGHTED boundary graph (BoundaryDistIndex): a dist
-/// query visits only the two endpoint fragments for the query-dependent
-/// sweeps (s-side exit distances, t-side entry distances, local
-/// short-circuit) and the coordinator answers with a bidirectional Dijkstra
-/// over the standing graph, filtering edges by the query bound so answers
-/// stay bit-identical to the BES path. Falls back to nothing: the indexed
-/// path is exact.
+/// kBoundaryIndex short-circuits the assembling with the fragments' local
+/// graphs, shipped once per dirty epoch and glued at the coordinator
+/// (BoundaryDistIndex): a dist query visits only its two endpoint
+/// fragments, which look up the local ids of s and t, and the coordinator
+/// answers with one bidirectional BFS that stops at the bound. Falls back
+/// to nothing: the indexed path is exact.
 enum class DistAnswerPath : uint8_t { kBes = 0, kBoundaryIndex = 1 };
 
 /// How the coordinator resolves regular reachability queries.
@@ -66,7 +66,8 @@ struct PartialEvalOptions {
   EquationForm form = EquationForm::kAuto;
   /// Coordinator strategy for reach queries (see ReachAnswerPath).
   ReachAnswerPath reach_path = ReachAnswerPath::kBes;
-  /// Coordinator strategy for dist queries (see DistAnswerPath).
+  /// Coordinator strategy for dist queries (see DistAnswerPath);
+  /// kBoundaryIndex keeps every fragment's local graph at the coordinator.
   DistAnswerPath dist_path = DistAnswerPath::kBes;
   /// Coordinator strategy for regular queries (see RpqAnswerPath).
   RpqAnswerPath rpq_path = RpqAnswerPath::kBes;
@@ -125,8 +126,8 @@ class PartialEvalEngine : public QueryEngine {
   std::string_view name() const override { return "partial-eval"; }
 
   /// Drops the cached context of one fragment (after an edge update touched
-  /// it) or of all fragments (after repartitioning). Both boundary indexes
-  /// ride the same invalidation path: the touched fragment's rows are
+  /// it) or of all fragments (after repartitioning). Every boundary index
+  /// rides the same invalidation path: the touched fragment's rows are
   /// marked dirty and re-fetched lazily by the next indexed batch.
   void InvalidateFragment(SiteId site) {
     contexts_.Invalidate(site);
@@ -151,7 +152,7 @@ class PartialEvalEngine : public QueryEngine {
   /// lookup paths directly (micro-comparisons outside a query batch).
   BoundaryReachIndex* mutable_boundary_index() { return boundary_.get(); }
 
-  /// The standing weighted boundary index, or nullptr before the first dist
+  /// The standing glued local graphs, or nullptr before the first dist
   /// batch ran with dist_path == kBoundaryIndex.
   const BoundaryDistIndex* boundary_dist_index() const {
     return boundary_dist_.get();
@@ -173,8 +174,8 @@ class PartialEvalEngine : public QueryEngine {
   /// rounds: one refresh round over every dirty (index, fragment) pair of
   /// the batch, if any, then one sweep round over the endpoint fragments.
   /// Reach and rpq assemble with label lookups over their glued graphs,
-  /// dist with one bidirectional Dijkstra per query over the weighted
-  /// graph. Like RunBatch, a non-OK return is a serving-transport failure.
+  /// dist with one bounded bidirectional BFS per query over the glued local
+  /// graphs. Like RunBatch, a non-OK return is a serving-transport failure.
   Status RunIndexed(std::span<const Query> queries,
                     const std::vector<size_t>& wire,
                     std::vector<QueryAnswer>* answers);

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/engine/query_engine.h"
-#include "src/index/boundary_dist_index.h"
 #include "src/index/boundary_index.h"
 
 namespace pereach {
@@ -136,76 +135,10 @@ ReachPartialAnswer ReachFromCachedRows(const Fragment& f, FragmentContext* ctx,
   return pa;
 }
 
-void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
-                          NodeId t, uint32_t bound, Encoder* body) {
-  const bool s_here = f.Contains(s);
-  const bool t_here = f.Contains(t);
-
-  // Each side is one bounded BFS over the local graph — O(|V_f| + |E_f|)
-  // whatever |oset| and |in| are. The BFS prunes past `bound`, so a node is
-  // within the bound exactly when its distance is finite (a `<= bound` test
-  // would pass unreached nodes when bound is kInfDistance).
-  uint32_t local_hops = kInfDistance;
-  std::vector<std::pair<uint32_t, uint32_t>> s_out;
-  if (s_here) {
-    // Exits in ascending oset order. Reaching t's local copy, or its
-    // virtual copy (the cross edge into t completes the path), is the
-    // short-circuit instead, like localEvald's base column.
-    const std::vector<uint32_t> from_s =
-        BfsDistances(f.local_graph(), f.ToLocal(s), bound);
-    if (t_here) local_hops = from_s[f.ToLocal(t)];
-    const std::vector<NodeId>& oset_locals = ctx->oset_locals(f);
-    const std::vector<NodeId>& oset_globals = ctx->oset_globals(f);
-    for (uint32_t j = 0; j < oset_locals.size(); ++j) {
-      const uint32_t hops = from_s[oset_locals[j]];
-      if (hops == kInfDistance) continue;
-      if (oset_globals[j] == t) {
-        local_hops = std::min(local_hops, hops);
-      } else {
-        s_out.emplace_back(j, hops);
-      }
-    }
-  }
-
-  // Entries in ascending in-node order.
-  std::vector<std::pair<NodeId, uint32_t>> t_in;
-  if (t_here) {
-    const std::vector<uint32_t> to_t =
-        BfsDistancesTo(f.local_graph(), f.ToLocal(t), bound);
-    for (NodeId in : f.in_nodes()) {
-      if (to_t[in] == kInfDistance) continue;
-      t_in.emplace_back(f.ToGlobal(in), to_t[in]);
-    }
-  }
-
-  uint8_t flags = 0;
-  if (s_here) flags |= kFrameHasS;
-  if (t_here) flags |= kFrameHasT;
-  if (local_hops != kInfDistance) flags |= kFrameHasLocalDist;
-  body->PutU8(flags);
-  if (local_hops != kInfDistance) body->PutVarint(local_hops);
-  if (s_here) {
-    body->PutVarint(s_out.size());
-    uint32_t prev = 0;
-    for (const auto& [idx, hops] : s_out) {  // ascending: delta-encode
-      body->PutVarint(idx - prev);
-      body->PutVarint(hops);
-      prev = idx;
-    }
-  }
-  if (t_here) {
-    body->PutVarint(t_in.size());
-    for (const auto& [global, hops] : t_in) {
-      body->PutVarint(global);
-      body->PutVarint(hops);
-    }
-  }
-}
-
 namespace {
 
-/// The reach and rpq endpoint frame: a flag byte, then `s_comp` and/or
-/// `t_comp` (a component of the condensation the refresh round shipped)
+/// The endpoint frame of every indexed class: a flag byte, then `s_comp`
+/// and/or `t_comp` (a component of the rows the refresh round shipped)
 /// where s and/or t are stored here; the coordinator's glued graph does the
 /// rest. At most 1 + 2 * 5 bytes, whatever the fragment's boundary.
 template <typename SComp, typename TComp>
@@ -231,6 +164,13 @@ void EncodeBoundarySweepFrame(const Fragment& f, FragmentContext* ctx,
   PutEndpointFrame(f, s, t, comp_of, comp_of, body);
 }
 
+void EncodeDistSweepFrame(const Fragment& f, FragmentContext* /*ctx*/,
+                          NodeId s, NodeId t, uint32_t /*bound*/,
+                          Encoder* body) {
+  const auto local_id = [](NodeId v) { return v; };
+  PutEndpointFrame(f, s, t, local_id, local_id, body);
+}
+
 void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* /*ctx*/,
                          const FragmentContext::RpqProduct& p, NodeId s,
                          NodeId t, Encoder* body) {
@@ -246,8 +186,8 @@ void EncodeRpqSweepFrame(const Fragment& f, FragmentContext* /*ctx*/,
 namespace {
 
 /// The reach and rpq refresh rounds' reply: a cached condensation with its
-/// boundary tables, in the BoundaryRows the coordinator's glued graph
-/// consumes. `add_keys(v, &keys, &comps)` appends boundary node v's keys and
+/// boundary tables, in the BoundaryRows the coordinator's glued graphs
+/// consume. `add_keys(v, &keys, &comps)` appends boundary node v's keys and
 /// the component of each.
 template <typename AddKeys>
 std::vector<uint8_t> EncodeGluedRows(const Fragment& f, FragmentContext* ctx,
@@ -296,8 +236,8 @@ std::vector<uint8_t> EncodeRpqRows(const Fragment& f, FragmentContext* ctx,
       });
 }
 
-/// The dist refresh round's reply: the fragment's cached dist rows, as
-/// they are.
+/// The dist refresh round's reply: the fragment's local graph as
+/// BoundaryRows.
 std::vector<uint8_t> EncodeDistRows(const Fragment& f, FragmentContext* ctx) {
   Encoder reply;
   ctx->dist_rows(f).Serialize(&reply);

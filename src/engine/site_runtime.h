@@ -22,17 +22,15 @@ namespace pereach {
 // Flag bits of a boundary sweep frame.
 inline constexpr uint8_t kFrameHasS = 1;  // s-side entry present
 inline constexpr uint8_t kFrameHasT = 2;  // t-side entry present
-// Extra flag bit of a dist sweep frame: a local s -> t distance (within the
-// query bound) is present. It does not end the frame — a cross-fragment
-// route can still be shorter, so the lists follow.
-inline constexpr uint8_t kFrameHasLocalDist = 4;
 
 /// Closure-form reach partial answer straight from the cached rows.
 ReachPartialAnswer ReachFromCachedRows(const Fragment& f, FragmentContext* ctx,
                                        NodeId s, NodeId t);
 
-/// The query-dependent halves of one dist query at one fragment, encoded
-/// for the weighted boundary answer path.
+/// The query-dependent halves of one dist query at one fragment: the reach
+/// frame over the local graph the dist refresh round shipped, carrying the
+/// local id of s and/or of t — at most 11 bytes. The coordinator's glued
+/// graph applies the bound, so `ctx` and `bound` are unused.
 void EncodeDistSweepFrame(const Fragment& f, FragmentContext* ctx, NodeId s,
                           NodeId t, uint32_t bound, Encoder* body);
 

@@ -79,15 +79,16 @@ BoundaryRows BoundaryRows::Deserialize(Decoder* dec) {
 }
 
 // ---------------------------------------------------------------------------
-// BoundaryReachIndex
+// GluedFragments
 
-BoundaryReachIndex::BoundaryReachIndex(size_t num_fragments)
+GluedFragments::GluedFragments(size_t num_fragments)
     : num_fragments_(num_fragments),
       fragment_rows_(num_fragments),
+      node_base_(num_fragments + 1, 0),
       have_rows_(num_fragments, false),
       dirty_(num_fragments, true) {}
 
-void BoundaryReachIndex::SetFragmentRows(SiteId site, BoundaryRows rows) {
+void GluedFragments::SetFragmentRows(SiteId site, BoundaryRows rows) {
   PEREACH_CHECK_LT(site, num_fragments_);
   fragment_rows_[site] = std::move(rows);
   have_rows_[site] = true;
@@ -95,18 +96,18 @@ void BoundaryReachIndex::SetFragmentRows(SiteId site, BoundaryRows rows) {
   stale_ = true;
 }
 
-void BoundaryReachIndex::InvalidateFragment(SiteId site) {
+void GluedFragments::InvalidateFragment(SiteId site) {
   PEREACH_CHECK_LT(site, num_fragments_);
   dirty_[site] = true;
   stale_ = true;
 }
 
-void BoundaryReachIndex::InvalidateAll() {
+void GluedFragments::InvalidateAll() {
   dirty_.assign(num_fragments_, true);
   stale_ = true;
 }
 
-std::vector<SiteId> BoundaryReachIndex::DirtySites() const {
+std::vector<SiteId> GluedFragments::DirtySites() const {
   std::vector<SiteId> out;
   for (SiteId s = 0; s < num_fragments_; ++s) {
     if (dirty_[s]) out.push_back(s);
@@ -114,14 +115,13 @@ std::vector<SiteId> BoundaryReachIndex::DirtySites() const {
   return out;
 }
 
-void BoundaryReachIndex::Ensure() {
+void GluedFragments::Ensure() {
   if (!stale_) return;
   for (SiteId s = 0; s < num_fragments_; ++s) {
     PEREACH_CHECK(have_rows_[s] && !dirty_[s] &&
                   "Ensure with dirty fragments: refresh their rows first");
   }
 
-  node_base_.assign(num_fragments_ + 1, 0);
   for (SiteId s = 0; s < num_fragments_; ++s) {
     node_base_[s + 1] = node_base_[s] + static_cast<uint32_t>(
                                             fragment_rows_[s].num_components());
@@ -135,6 +135,35 @@ void BoundaryReachIndex::Ensure() {
     }
   }
 
+  Build(real_copy);
+  stale_ = false;
+  ++rebuild_count_;
+}
+
+uint32_t GluedFragments::Node(SiteId site, uint64_t comp) const {
+  PEREACH_CHECK(!stale_ && "Ensure() before querying");
+  PEREACH_CHECK_LT(site, num_fragments_);
+  return comp < node_base_[site + 1] - node_base_[site]
+             ? node_base_[site] + static_cast<uint32_t>(comp)
+             : kNoNode;
+}
+
+size_t GluedFragments::RowsByteSize() const {
+  size_t bytes = node_base_.size() * sizeof(uint32_t);
+  for (const BoundaryRows& fr : fragment_rows_) {
+    bytes += fr.offsets.size() * sizeof(size_t) +
+             fr.targets.size() * sizeof(uint32_t) +
+             (fr.oset_keys.size() + fr.in_keys.size()) *
+                 (sizeof(uint64_t) + sizeof(uint32_t));
+  }
+  return bytes;
+}
+
+// ---------------------------------------------------------------------------
+// BoundaryReachIndex
+
+void BoundaryReachIndex::Build(
+    const std::unordered_map<uint64_t, uint32_t>& real_copy) {
   std::vector<std::pair<uint32_t, uint32_t>> edges;
   for (SiteId s = 0; s < num_fragments_; ++s) {
     const BoundaryRows& fr = fragment_rows_[s];
@@ -153,24 +182,13 @@ void BoundaryReachIndex::Ensure() {
       }
     }
   }
-
-  labels_.Build(node_base_.back(), edges);
-  stale_ = false;
-  ++rebuild_count_;
-}
-
-uint32_t BoundaryReachIndex::Node(SiteId site, uint64_t comp) const {
-  PEREACH_CHECK(!stale_ && "Ensure() before querying");
-  PEREACH_CHECK_LT(site, num_fragments_);
-  return comp < node_base_[site + 1] - node_base_[site]
-             ? node_base_[site] + static_cast<uint32_t>(comp)
-             : kNoNode;
+  labels_.Build(num_nodes(), edges);
 }
 
 void BoundaryReachIndex::AppendSuccessors(uint32_t node,
                                           std::vector<uint32_t>* out) const {
-  PEREACH_CHECK(!stale_ && "Ensure() before querying");
-  PEREACH_CHECK_LT(node, node_base_.back());
+  PEREACH_CHECK(!dirty() && "Ensure() before querying");
+  PEREACH_CHECK_LT(node, num_nodes());
   // The fragment whose node range holds `node`: the last base <= node.
   const size_t site = static_cast<size_t>(
       std::upper_bound(node_base_.begin(), node_base_.end(), node) -
@@ -184,18 +202,18 @@ void BoundaryReachIndex::AppendSuccessors(uint32_t node,
 }
 
 bool BoundaryReachIndex::Reaches(uint32_t u, uint32_t v) {
-  PEREACH_CHECK(!stale_ && "Ensure() before querying");
-  PEREACH_CHECK_LT(u, node_base_.back());
-  PEREACH_CHECK_LT(v, node_base_.back());
+  PEREACH_CHECK(!dirty() && "Ensure() before querying");
+  PEREACH_CHECK_LT(u, num_nodes());
+  PEREACH_CHECK_LT(v, num_nodes());
   return labels_.ReachesAny({&u, 1}, {&v, 1});
 }
 
 void BoundaryReachIndex::AnswerBatch(std::span<const WordQuestion> questions,
                                      std::vector<uint8_t>* answers) {
-  PEREACH_CHECK(!stale_ && "Ensure() before querying");
+  PEREACH_CHECK(!dirty() && "Ensure() before querying");
   for (const WordQuestion& q : questions) {
-    for (const uint32_t u : q.sources) PEREACH_CHECK_LT(u, node_base_.back());
-    for (const uint32_t v : q.targets) PEREACH_CHECK_LT(v, node_base_.back());
+    for (const uint32_t u : q.sources) PEREACH_CHECK_LT(u, num_nodes());
+    for (const uint32_t v : q.targets) PEREACH_CHECK_LT(v, num_nodes());
   }
   answers->assign(questions.size(), 0);
   for (size_t base = 0; base < questions.size();
@@ -211,14 +229,7 @@ void BoundaryReachIndex::AnswerBatch(std::span<const WordQuestion> questions,
 }
 
 size_t BoundaryReachIndex::ByteSize() const {
-  size_t bytes = node_base_.size() * sizeof(uint32_t) + labels_.ByteSize();
-  for (const BoundaryRows& fr : fragment_rows_) {
-    bytes += fr.offsets.size() * sizeof(size_t) +
-             fr.targets.size() * sizeof(uint32_t) +
-             (fr.oset_keys.size() + fr.in_keys.size()) *
-                 (sizeof(uint64_t) + sizeof(uint32_t));
-  }
-  return bytes;
+  return RowsByteSize() + labels_.ByteSize();
 }
 
 }  // namespace pereach

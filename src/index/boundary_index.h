@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "src/index/reach_labels.h"
@@ -13,14 +14,16 @@
 namespace pereach {
 
 /// Query-independent structure of ONE fragment, as shipped to the
-/// coordinator by a refresh round: a cached SCC condensation with its
-/// boundary resolved to global KEYS. The reach round ships the local graph's
-/// condensation (FragmentContext::cond), keyed by global node id; the rpq
-/// round ships one automaton's product condensation
+/// coordinator by a refresh round: a graph over the fragment's components
+/// with its boundary resolved to global KEYS. The reach round ships the
+/// local graph's condensation (FragmentContext::cond), keyed by global node
+/// id; the rpq round ships one automaton's product condensation
 /// (FragmentContext::RpqProduct::cond), keyed by PackNodeState(global id,
-/// state) — one key per product pair of a boundary node.
-///  - `offsets` / `targets`: the condensation in CSR form, component c's
-///    successors at targets[offsets[c] .. offsets[c + 1]);
+/// state) — one key per product pair of a boundary node; the dist round
+/// ships the local graph itself (FragmentContext::dist_rows), each node its
+/// own component, keyed by global node id.
+///  - `offsets` / `targets`: the graph in CSR form, component c's
+///    successors ascending at targets[offsets[c] .. offsets[c + 1]);
 ///  - `oset_keys` / `oset_comp`: the virtual nodes (ascending local order)
 ///    or their product pairs, and the component each one is;
 ///  - `in_keys` / `in_comp`: the in-nodes or their product pairs, and the
@@ -43,12 +46,86 @@ struct BoundaryRows {
   static BoundaryRows Deserialize(Decoder* dec);
 };
 
+/// What every glued-graph index shares — reach and each rpq entry over the
+/// fragments' condensations, dist over their local graphs: the per-fragment
+/// rows as the refresh round shipped them, their dirty bits, and the
+/// numbering of the glued graph's nodes (fragment s's component c is node
+/// node_base_[s] + c). Ensure() renumbers the nodes, maps every in-table
+/// key to its node — the real copy of every virtual copy with that key
+/// (every virtual node is an in-node at its owning fragment) — and hands
+/// the map to the subclass's Build, which says what graph the index keeps.
+///
+/// Incremental maintenance mirrors the FragmentContext cache: the owner
+/// marks fragments dirty on the IncrementalReachIndex::SetUpdateListener /
+/// EpochGate invalidation path, re-fetches ONLY the dirty fragments' rows,
+/// and Ensure() rebuilds from the per-fragment cache.
+///
+/// Thread-safety: none. One index belongs to one engine; the engine's
+/// single-dispatcher discipline (and the server's exclusive writer gate
+/// around invalidation) provides the exclusion.
+class GluedFragments {
+ public:
+  /// What Node() returns for a component id past its fragment's count.
+  static constexpr uint32_t kNoNode = std::numeric_limits<uint32_t>::max();
+
+  explicit GluedFragments(size_t num_fragments);
+  virtual ~GluedFragments() = default;
+  GluedFragments(const GluedFragments&) = delete;
+  GluedFragments& operator=(const GluedFragments&) = delete;
+
+  /// Installs the rows of one fragment and clears its dirty bit.
+  void SetFragmentRows(SiteId site, BoundaryRows rows);
+
+  /// Marks one fragment's rows stale (an update structurally touched it).
+  void InvalidateFragment(SiteId site);
+  void InvalidateAll();
+
+  /// Fragments whose rows must be re-fetched before Ensure() can run.
+  std::vector<SiteId> DirtySites() const;
+  bool dirty() const { return stale_; }
+
+  /// Rebuilds the glued graph from the cached per-fragment rows. Requires
+  /// DirtySites() empty. Idempotent when clean.
+  void Ensure();
+
+  /// The graph node of component `comp` of fragment `site`, or kNoNode when
+  /// `comp` is not below the fragment's installed component count — the
+  /// check every id taken from a sweep frame passes through.
+  uint32_t Node(SiteId site, uint64_t comp) const;
+
+  // --- observability -------------------------------------------------------
+  /// Nodes of the glued graph: the fragments' components, summed.
+  size_t num_nodes() const { return node_base_.back(); }
+  /// Full graph rebuilds performed (dirty-epoch count).
+  size_t rebuild_count() const { return rebuild_count_; }
+
+ protected:
+  /// Builds the graph over num_nodes() nodes from fragment_rows_.
+  /// `real_copy` maps every in-table key to the node of that real copy. An
+  /// oset key it lacks (only a forged table has one) has no real copy: the
+  /// index must leave that virtual copy a dead end.
+  virtual void Build(
+      const std::unordered_map<uint64_t, uint32_t>& real_copy) = 0;
+
+  /// Rough resident size of the installed rows, bytes.
+  size_t RowsByteSize() const;
+
+  size_t num_fragments_;
+  std::vector<BoundaryRows> fragment_rows_;
+  std::vector<uint32_t> node_base_;  // num_fragments_ + 1 entries
+
+ private:
+  std::vector<bool> have_rows_;
+  std::vector<bool> dirty_;
+  bool stale_ = true;  // graph out of date w.r.t. the rows
+  size_t rebuild_count_ = 0;
+};
+
 /// Coordinator-side reachability index over the fragments' GLUED
 /// CONDENSATIONS: one node per (fragment, component of its installed
 /// condensation), the condensation edges of every fragment, and one glue
 /// edge from each virtual copy's component to the component of its real
-/// copy (the in-table entry with the same key) at the owning fragment —
-/// every virtual node is an in-node there.
+/// copy at the owning fragment.
 /// The graph is exact for G: a local path maps onto its fragment's
 /// condensation, and a cross edge a -> w maps onto a's component reaching
 /// w's virtual copy, then the glue edge to comp(w) at w's owner. Conversely
@@ -68,42 +145,10 @@ struct BoundaryRows {
 /// labels of ReachLabels: certain positives from DFS-tree intervals, certain
 /// negatives from post-order interval containment, and a label-pruned DFS or
 /// a 64-lane sweep for the rest — every answer is exact.
-///
-/// Incremental maintenance mirrors the FragmentContext cache: the owner
-/// marks fragments dirty on the IncrementalReachIndex::SetUpdateListener /
-/// EpochGate invalidation path, re-fetches ONLY the dirty fragments'
-/// condensations, and Ensure() rebuilds the graph and labels from the
-/// per-fragment cache.
-///
-/// Thread-safety: none. One index belongs to one engine; the engine's
-/// single-dispatcher discipline (and the server's exclusive writer gate
-/// around invalidation) provides the exclusion.
-class BoundaryReachIndex {
+class BoundaryReachIndex : public GluedFragments {
  public:
-  /// What Node() returns for a component id past its fragment's count.
-  static constexpr uint32_t kNoNode = std::numeric_limits<uint32_t>::max();
-
-  explicit BoundaryReachIndex(size_t num_fragments);
-
-  /// Installs the condensation of one fragment and clears its dirty bit.
-  void SetFragmentRows(SiteId site, BoundaryRows rows);
-
-  /// Marks one fragment's rows stale (an update structurally touched it).
-  void InvalidateFragment(SiteId site);
-  void InvalidateAll();
-
-  /// Fragments whose rows must be re-fetched before Ensure() can run.
-  std::vector<SiteId> DirtySites() const;
-  bool dirty() const { return stale_; }
-
-  /// Rebuilds the glued graph and its labels from the cached per-fragment
-  /// rows. Requires DirtySites() empty. Idempotent when clean.
-  void Ensure();
-
-  /// The graph node of component `comp` of fragment `site`, or kNoNode when
-  /// `comp` is not below the fragment's installed component count — the
-  /// check every component id taken from a site reply passes through.
-  uint32_t Node(SiteId site, uint64_t comp) const;
+  explicit BoundaryReachIndex(size_t num_fragments)
+      : GluedFragments(num_fragments) {}
 
   /// Appends to `out` the nodes `node`'s component points to in its own
   /// fragment's installed condensation (glue edges excluded). `node` must be
@@ -124,11 +169,7 @@ class BoundaryReachIndex {
                    std::vector<uint8_t>* answers);
 
   // --- observability -------------------------------------------------------
-  /// Nodes of the glued graph: the fragments' components, summed.
-  size_t num_nodes() const { return labels_.num_nodes(); }
   size_t num_edges() const { return labels_.num_edges(); }
-  /// Full graph + label rebuilds performed (dirty-epoch count).
-  size_t rebuild_count() const { return rebuild_count_; }
   /// Lookups (Reaches calls, word lanes) decided by labels alone vs
   /// lookups that needed the pruned-DFS fallback.
   size_t label_hits() const { return labels_.label_hits(); }
@@ -143,18 +184,12 @@ class BoundaryReachIndex {
   size_t ByteSize() const;
 
  private:
-  size_t num_fragments_;
-  std::vector<BoundaryRows> fragment_rows_;
-  std::vector<bool> have_rows_;
-  std::vector<bool> dirty_;
-  bool stale_ = true;  // graph/labels out of date w.r.t. the rows
+  /// The condensation edges plus one glue edge per oset entry with a real
+  /// copy, handed to the labels.
+  void Build(
+      const std::unordered_map<uint64_t, uint32_t>& real_copy) override;
 
-  // Rebuilt structure (valid while !stale_): fragment s's component c is
-  // node node_base_[s] + c, and the labels over the glued graph.
-  std::vector<uint32_t> node_base_;  // num_fragments_ + 1 entries
   ReachLabels labels_;
-
-  size_t rebuild_count_ = 0;
 };
 
 }  // namespace pereach

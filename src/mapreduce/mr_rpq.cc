@@ -211,7 +211,7 @@ MapReduceRpqResult MapReduceBoundedReach(const Fragmentation& fragmentation,
           DistPartialAnswer::Deserialize(&dec).AddToSystem(&system);
         }
         const uint64_t dist = system.Evaluate(s);
-        return EmitVerdict(dist != kInfWeight && dist <= bound, dist);
+        return EmitVerdict(dist <= bound, dist <= bound ? dist : kInfWeight);
       };
   MapReduceRpqResult result =
       RunAdaptedJob(fragmentation, header, net, pool, map_fn, reduce_fn);

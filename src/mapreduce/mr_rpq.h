@@ -44,7 +44,8 @@ MapReduceRpqResult MapReduceReach(const Fragmentation& fragmentation, NodeId s,
                                   ThreadPool* pool);
 
 /// The §6 adaptation to bounded reachability: localEvald as Map, evalDGd as
-/// Reduce. answer.distance carries the exact distance when <= bound.
+/// Reduce. answer.distance carries the exact distance when <= bound, and
+/// kInfWeight otherwise.
 MapReduceRpqResult MapReduceBoundedReach(const Fragmentation& fragmentation,
                                          NodeId s, NodeId t, uint32_t bound,
                                          const NetworkModel& net,

@@ -138,10 +138,10 @@ struct RoundSpec {
 // WireMessage tag; replies start with a status byte. See DESIGN.md §13.
 
 // Bumped whenever a message or reply format changes, so a stale worker fails
-// at Hello instead of decoding garbage. 6: each indexed site is sent its own
-// payload — a sweep site the sub-batch of the queries it stores an endpoint
-// of, a refresh site only its own index entries, with no site lists.
-inline constexpr uint8_t kWireVersion = 6;
+// at Hello instead of decoding garbage. 7: the dist refresh round ships the
+// local graph as BoundaryRows and a dist sweep frame is the endpoint frame
+// of local ids, replacing the weighted rows and the exit/entry lists.
+inline constexpr uint8_t kWireVersion = 7;
 
 enum class WireMessage : uint8_t {
   kHello = 0,     // u8 version, varint site, fragment bytes -> ok reply

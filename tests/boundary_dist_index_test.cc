@@ -1,17 +1,18 @@
-// Differential suite for the coordinator's weighted boundary-graph dist
-// index: the kBoundaryIndex dist path must agree bit-for-bit with the
-// paper's min-plus BES assembling path (and with a centralized oracle)
-// across partitioners, equation forms, and interleaved AddEdges epochs —
-// including the above-bound distance values the BES Dijkstra reports, which
-// the indexed search reproduces by filtering standing edges at the query
-// bound. Plus dist-specific edge cases: unreachable pairs, s == t,
-// boundary-node endpoints, degenerate fragment counts, lazy rebuilds.
+// Differential suite for the coordinator's dist index over the fragments'
+// glued local graphs: the kBoundaryIndex dist path must agree bit-for-bit
+// with the paper's min-plus BES assembling path (and with a centralized
+// oracle) across partitioners, equation forms, and interleaved AddEdges
+// epochs. Both paths report the distance only within the bound, and
+// kInfWeight above it. Plus dist-specific edge cases: unreachable pairs,
+// s == t, boundary-node endpoints, degenerate fragment counts, lazy
+// rebuilds.
 
 #include "src/index/boundary_dist_index.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <memory>
 #include <string>
 #include <utility>
@@ -19,9 +20,8 @@
 
 #include "src/baselines/centralized.h"
 #include "src/core/incremental.h"
+#include "src/engine/baseline_engines.h"
 #include "src/engine/partial_eval_engine.h"
-#include "src/engine/site_runtime.h"
-#include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
 #include "src/net/cluster.h"
 #include "tests/test_util.h"
@@ -37,83 +37,70 @@ using testing_util::OracleDistance;
 using testing_util::RandomPartition;
 
 // ---------------------------------------------------------------------------
-// WeightedBoundaryRows wire format
+// Direct index semantics on two hand-built local graphs
 
-TEST(WeightedBoundaryRowsTest, SerializeRoundTrips) {
-  WeightedBoundaryRows rows;
-  rows.oset_globals = {3, 9, 40, 77};
-  rows.in_globals = {12, 25, 14};
-  rows.offsets = {0, 3, 3, 5};  // in-node 25's row is empty
-  rows.targets = {0, 2, 3, 1, 3};
-  rows.hops = {2, 7, 1, 4, 130};
-
-  Encoder enc;
-  rows.Serialize(&enc);
-  Decoder dec(enc.buffer());
-  const WeightedBoundaryRows back = WeightedBoundaryRows::Deserialize(&dec);
-  EXPECT_TRUE(dec.Done());
-  EXPECT_EQ(back.oset_globals, rows.oset_globals);
-  EXPECT_EQ(back.in_globals, rows.in_globals);
-  EXPECT_EQ(back.offsets, rows.offsets);
-  EXPECT_EQ(back.targets, rows.targets);
-  EXPECT_EQ(back.hops, rows.hops);
+// F0 stores 10 -> 11 and the cross edge 11 -> 20 (virtual 20 is its local
+// node 2); F1 stores the chain 20 -> 21 -> 22 and the cross edge 22 -> 10
+// (virtual 10 is its local node 3). Node ids: F0's local v is v, F1's is
+// 3 + v.
+BoundaryRows HandBuiltF0() {
+  BoundaryRows rows;
+  rows.offsets = {0, 1, 2, 2};
+  rows.targets = {1, 2};
+  rows.oset_keys = {20};
+  rows.oset_comp = {2};
+  rows.in_keys = {10};
+  rows.in_comp = {0};
+  return rows;
 }
 
-// ---------------------------------------------------------------------------
-// Direct index semantics on a hand-built weighted boundary graph
+BoundaryRows HandBuiltF1() {
+  BoundaryRows rows;
+  rows.offsets = {0, 1, 2, 3, 3};
+  rows.targets = {1, 2, 3};
+  rows.oset_keys = {10};
+  rows.oset_comp = {3};
+  rows.in_keys = {20};
+  rows.in_comp = {0};
+  return rows;
+}
 
-// Two fragments: F0's in-node 10 reaches virtual 20 at 2 hops and virtual 30
-// at 5; F1's in-nodes 20 and 30 both reach virtual 10 at 3 hops (identical
-// rows, each its own) and in-node 40 reaches nothing.
 TEST(BoundaryDistIndexTest, HandBuiltGraphAnswersAndInvalidates) {
   BoundaryDistIndex index(2);
   EXPECT_EQ(index.DirtySites().size(), 2u);
-
-  WeightedBoundaryRows f0;
-  f0.oset_globals = {20, 30};
-  f0.in_globals = {10};
-  f0.offsets = {0, 2};
-  f0.targets = {0, 1};
-  f0.hops = {2, 5};
-  index.SetFragmentRows(0, std::move(f0));
-
-  WeightedBoundaryRows f1;
-  f1.oset_globals = {10};
-  f1.in_globals = {20, 30, 40};
-  f1.offsets = {0, 1, 2, 2};
-  f1.targets = {0, 0};
-  f1.hops = {3, 3};
-  index.SetFragmentRows(1, std::move(f1));
-
+  index.SetFragmentRows(0, HandBuiltF0());
+  index.SetFragmentRows(1, HandBuiltF1());
   EXPECT_TRUE(index.DirtySites().empty());
   index.Ensure();
   EXPECT_EQ(index.rebuild_count(), 1u);
-  EXPECT_EQ(index.num_boundary_nodes(), 4u);  // 10, 20, 30, 40
-  EXPECT_EQ(index.InNode(77), BoundaryDistIndex::kNoNode);
+  EXPECT_EQ(index.num_nodes(), 7u);  // both virtual copies included
+  EXPECT_EQ(index.num_edges(), 5u);  // one per edge of G
+  EXPECT_EQ(index.Node(0, 3), BoundaryDistIndex::kNoNode);
+  EXPECT_EQ(index.Node(1, 4), BoundaryDistIndex::kNoNode);
 
-  const auto path = [&index](NodeId u, NodeId v, uint32_t max_edge) {
-    const BoundaryDistIndex::Seed s[] = {{index.InNode(u), 0}};
-    const BoundaryDistIndex::Seed t[] = {{index.InNode(v), 0}};
-    return index.ShortestPath(s, t, max_edge);
-  };
-  EXPECT_EQ(path(10, 10, 100), 0u);  // seeds meet at the same node
-  EXPECT_EQ(path(10, 20, 100), 2u);
-  EXPECT_EQ(path(10, 30, 100), 5u);
-  EXPECT_EQ(path(20, 10, 100), 3u);
-  EXPECT_EQ(path(30, 10, 100), 3u);
-  EXPECT_EQ(path(20, 30, 100), 3u + 5u);  // 20 -> 10 -> 30
-  EXPECT_EQ(path(40, 10, 100), kInfWeight);
-  EXPECT_EQ(path(10, 40, 100), kInfWeight);
-  // The per-query bound filter drops heavy standing edges.
-  EXPECT_EQ(path(10, 20, 2), 2u);
-  EXPECT_EQ(path(10, 30, 4), kInfWeight);
-  EXPECT_EQ(path(20, 30, 4), kInfWeight);  // the 5-hop closing edge is out
+  const uint32_t n10 = index.Node(0, 0);
+  const uint32_t n11 = index.Node(0, 1);
+  const uint32_t n20 = index.Node(1, 0);
+  const uint32_t n22 = index.Node(1, 2);
+  // The cross edge 11 -> 20 lands on 20's real copy as ONE hop: a glue
+  // edge through the virtual copy would make it two.
+  EXPECT_EQ(index.Distance(n11, n20, 1), 1u);
+  EXPECT_EQ(index.Distance(n11, n20, 0), kInfWeight);
+  // The virtual copy itself is an isolated node.
+  EXPECT_EQ(index.Distance(n10, index.Node(0, 2), kInfDistance), kInfWeight);
+  EXPECT_EQ(index.Distance(n10, n10, 0), 0u);
 
-  // Seed distances add onto the path, and the minimum over seed pairs wins.
-  const BoundaryDistIndex::Seed multi_s[] = {{index.InNode(10), 7},
-                                             {index.InNode(40), 0}};
-  const BoundaryDistIndex::Seed multi_t[] = {{index.InNode(20), 1}};
-  EXPECT_EQ(index.ShortestPath(multi_s, multi_t, 100), 7u + 2u + 1u);
+  // 10 -> 11 -> 20 -> 21 -> 22 is 4 hops: reported at bounds l and l + 1
+  // and unbounded, kInfWeight at l - 1.
+  EXPECT_EQ(index.Distance(n10, n22, 3), kInfWeight);
+  EXPECT_EQ(index.Distance(n10, n22, 4), 4u);
+  EXPECT_EQ(index.Distance(n10, n22, 5), 4u);
+  EXPECT_EQ(index.Distance(n10, n22, kInfDistance), 4u);
+  // 22 -> 10 -> 11 crosses back; 11 -> 10 goes round through F1.
+  EXPECT_EQ(index.Distance(n22, n11, 2), 2u);
+  EXPECT_EQ(index.Distance(n11, n10, kInfDistance), 4u);
+  const size_t searches = index.search_count();
+  EXPECT_GT(index.settled_nodes(), 0u);
 
   // Invalidation marks exactly the touched fragment dirty; a clean Ensure
   // is a no-op, a post-refresh Ensure rebuilds once.
@@ -121,25 +108,25 @@ TEST(BoundaryDistIndexTest, HandBuiltGraphAnswersAndInvalidates) {
   EXPECT_EQ(index.rebuild_count(), 1u);
   index.InvalidateFragment(1);
   EXPECT_EQ(index.DirtySites(), std::vector<SiteId>{1});
-  WeightedBoundaryRows f1b;
-  f1b.oset_globals = {10};
-  f1b.in_globals = {20, 30, 40};
-  f1b.offsets = {0, 1, 2, 3};
-  f1b.targets = {0, 0, 0};
-  f1b.hops = {3, 3, 1};  // 40 now reaches virtual 10 in one hop
-  index.SetFragmentRows(1, std::move(f1b));
+  EXPECT_TRUE(index.dirty());
+  BoundaryRows f1 = HandBuiltF1();
+  f1.offsets = {0, 2, 3, 4, 4};
+  f1.targets = {1, 2, 2, 3};  // adds the shortcut 20 -> 22
+  index.SetFragmentRows(1, std::move(f1));
   index.Ensure();
   EXPECT_EQ(index.rebuild_count(), 2u);
-  EXPECT_EQ(path(40, 30, 100), 1u + 5u);  // 40 -> 10 -> 30
+  EXPECT_EQ(index.Distance(n10, n22, 3), 3u);  // 10 -> 11 -> 20 -> 22
+  EXPECT_EQ(index.Distance(n10, n22, 2), kInfWeight);
+  EXPECT_EQ(index.search_count(), searches + 2);
 }
 
 // ---------------------------------------------------------------------------
-// Dist rows against a local all-pairs oracle
+// Dist rows against the local graph
 
-// Every in-node's row lists exactly its finite local distances to the
-// virtual nodes, ascending by oset index: AllPairsDistances restricted to
-// (in-node, virtual node) pairs.
-TEST(DistRowsTest, MatchLocalAllPairsDistances) {
+// A fragment's dist rows are its local graph: node v is component v, its
+// successors ascending and deduplicated, the oset table the fragment's
+// virtual nodes and the in-table its in-nodes, keyed by global id.
+TEST(DistRowsTest, EqualTheLocalGraph) {
   constexpr size_t kSites = 3;
   Rng rng(7207);
   for (const auto& partitioner : AllPartitioners()) {
@@ -152,148 +139,31 @@ TEST(DistRowsTest, MatchLocalAllPairsDistances) {
         SCOPED_TRACE(partitioner->name() + " trial " + std::to_string(trial) +
                      " site " + std::to_string(site));
         const Fragment& f = frag.fragment(site);
+        const Graph& local = f.local_graph();
         FragmentContext ctx;
-        const std::vector<std::vector<uint32_t>> apd =
-            AllPairsDistances(f.local_graph());
-        const std::vector<NodeId>& oset_locals = ctx.oset_locals(f);
-        const FragmentContext::DistRows& rows = ctx.dist_rows(f);
-        EXPECT_EQ(rows.oset_globals, ctx.oset_globals(f));
-        ASSERT_EQ(rows.in_globals.size(), f.in_nodes().size());
-        ASSERT_EQ(rows.offsets.size(), f.in_nodes().size() + 1);
-        for (size_t i = 0; i < f.in_nodes().size(); ++i) {
-          const NodeId in = f.in_nodes()[i];
-          EXPECT_EQ(rows.in_globals[i], f.ToGlobal(in));
-          std::vector<std::pair<uint32_t, uint32_t>> want, got;
-          for (uint32_t j = 0; j < oset_locals.size(); ++j) {
-            const uint32_t d = apd[in][oset_locals[j]];
-            if (d != kInfDistance) want.emplace_back(j, d);
-          }
-          for (size_t e = rows.offsets[i]; e < rows.offsets[i + 1]; ++e) {
-            got.emplace_back(rows.targets[e], rows.hops[e]);
-          }
-          EXPECT_EQ(got, want) << "in-node " << f.ToGlobal(in);
+        const BoundaryRows rows = ctx.dist_rows(f);
+        ASSERT_EQ(rows.num_components(), local.NumNodes());
+        for (NodeId v = 0; v < local.NumNodes(); ++v) {
+          std::vector<uint32_t> want(local.OutNeighbors(v).begin(),
+                                     local.OutNeighbors(v).end());
+          std::sort(want.begin(), want.end());
+          want.erase(std::unique(want.begin(), want.end()), want.end());
+          const std::vector<uint32_t> got(
+              rows.targets.begin() + static_cast<ptrdiff_t>(rows.offsets[v]),
+              rows.targets.begin() +
+                  static_cast<ptrdiff_t>(rows.offsets[v + 1]));
+          EXPECT_EQ(got, want) << "node " << f.ToGlobal(v);
         }
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Endpoint sweep frames against a local all-pairs oracle
-
-/// A dist sweep frame, decoded.
-struct DecodedDistFrame {
-  uint8_t flags = 0;
-  uint32_t local_hops = kInfDistance;
-  std::vector<std::pair<uint32_t, uint32_t>> s_out;  // (oset index, hops)
-  std::vector<std::pair<NodeId, uint32_t>> t_in;     // (in-node global, hops)
-};
-
-DecodedDistFrame DecodeDistFrame(const std::vector<uint8_t>& bytes) {
-  Decoder dec(bytes);
-  DecodedDistFrame out;
-  out.flags = dec.GetU8();
-  if (out.flags & kFrameHasLocalDist) {
-    out.local_hops = static_cast<uint32_t>(dec.GetVarint());
-  }
-  if (out.flags & kFrameHasS) {
-    uint32_t prev = 0;
-    for (size_t n = dec.GetCount(2); n > 0; --n) {
-      prev += static_cast<uint32_t>(dec.GetVarint());
-      out.s_out.emplace_back(prev, static_cast<uint32_t>(dec.GetVarint()));
-    }
-  }
-  if (out.flags & kFrameHasT) {
-    for (size_t n = dec.GetCount(2); n > 0; --n) {
-      const NodeId global = static_cast<NodeId>(dec.GetVarint());
-      out.t_in.emplace_back(global, static_cast<uint32_t>(dec.GetVarint()));
-    }
-  }
-  EXPECT_TRUE(dec.Done());
-  return out;
-}
-
-// Every pair a frame carries — s-side exits, the local short-circuit, t-side
-// entries — equals the local graph's all-pairs distances within the bound,
-// in ascending oset-index / in-node order, for every bound including 0 and
-// kInfDistance (where "within the bound" must still exclude unreached
-// nodes). Endpoints cover both stored here, one side only, t's virtual copy
-// here, and neither.
-TEST(DistSweepFrameTest, MatchesLocalAllPairsDistances) {
-  constexpr size_t kSites = 3;
-  Rng rng(6011);
-  std::vector<uint32_t> bounds;
-  for (uint32_t b = 0; b <= 12; ++b) bounds.push_back(b);
-  bounds.push_back(kInfDistance);
-  const auto within = [](uint32_t d, uint32_t bound) {
-    return d != kInfDistance && d <= bound;
-  };
-  for (const auto& partitioner : AllPartitioners()) {
-    for (int trial = 0; trial < 4; ++trial) {
-      const size_t n = 12 + rng.Uniform(30);
-      const Graph g = ErdosRenyi(n, 2 * n + rng.Uniform(n), 1, &rng);
-      const Fragmentation frag = Fragmentation::Build(
-          g, partitioner->Partition(g, kSites, &rng), kSites);
-      for (SiteId site = 0; site < kSites; ++site) {
-        const Fragment& f = frag.fragment(site);
-        FragmentContext ctx;
-        const std::vector<std::vector<uint32_t>> apd =
-            AllPairsDistances(f.local_graph());
-        const std::vector<NodeId>& oset_locals = ctx.oset_locals(f);
-        const std::vector<NodeId>& oset_globals = ctx.oset_globals(f);
-        for (int probe = 0; probe < 12; ++probe) {
-          const NodeId s = static_cast<NodeId>(rng.Uniform(n));
-          NodeId t = static_cast<NodeId>(rng.Uniform(n));
-          if (probe % 4 == 0 && !oset_globals.empty()) {
-            t = oset_globals[rng.Uniform(oset_globals.size())];
-          }
-          const bool s_here = f.Contains(s);
-          const bool t_here = f.Contains(t);
-          for (const uint32_t bound : bounds) {
-            const std::string where = partitioner->name() + " trial " +
-                                      std::to_string(trial) + " site " +
-                                      std::to_string(site) + " s=" +
-                                      std::to_string(s) + " t=" +
-                                      std::to_string(t) + " bound=" +
-                                      std::to_string(bound);
-            Encoder body;
-            EncodeDistSweepFrame(f, &ctx, s, t, bound, &body);
-            const DecodedDistFrame got = DecodeDistFrame(body.buffer());
-
-            DecodedDistFrame want;
-            if (s_here) want.flags |= kFrameHasS;
-            if (t_here) want.flags |= kFrameHasT;
-            if (s_here) {
-              const std::vector<uint32_t>& from_s = apd[f.ToLocal(s)];
-              if (t_here && within(from_s[f.ToLocal(t)], bound)) {
-                want.local_hops = from_s[f.ToLocal(t)];
-              }
-              for (uint32_t j = 0; j < oset_locals.size(); ++j) {
-                const uint32_t d = from_s[oset_locals[j]];
-                if (!within(d, bound)) continue;
-                if (oset_globals[j] == t) {
-                  want.local_hops = std::min(want.local_hops, d);
-                } else {
-                  want.s_out.emplace_back(j, d);
-                }
-              }
-            }
-            if (t_here) {
-              for (const NodeId in : f.in_nodes()) {
-                const uint32_t d = apd[in][f.ToLocal(t)];
-                if (!within(d, bound)) continue;
-                want.t_in.emplace_back(f.ToGlobal(in), d);
-              }
-            }
-            if (want.local_hops != kInfDistance) {
-              want.flags |= kFrameHasLocalDist;
-            }
-
-            ASSERT_EQ(got.flags, want.flags) << where;
-            EXPECT_EQ(got.local_hops, want.local_hops) << where;
-            EXPECT_EQ(got.s_out, want.s_out) << where;
-            EXPECT_EQ(got.t_in, want.t_in) << where;
-          }
+        const std::vector<NodeId>& oset = ctx.oset_globals(f);
+        EXPECT_EQ(rows.oset_keys,
+                  std::vector<uint64_t>(oset.begin(), oset.end()));
+        EXPECT_EQ(rows.oset_comp,
+                  std::vector<uint32_t>(ctx.oset_locals(f).begin(),
+                                        ctx.oset_locals(f).end()));
+        ASSERT_EQ(rows.in_keys.size(), f.in_nodes().size());
+        for (size_t i = 0; i < f.in_nodes().size(); ++i) {
+          EXPECT_EQ(rows.in_keys[i], f.ToGlobal(f.in_nodes()[i]));
+          EXPECT_EQ(rows.in_comp[i], f.in_nodes()[i]);
         }
       }
     }
@@ -361,8 +231,8 @@ TEST(BoundaryDistDifferentialTest,
           ASSERT_EQ(bes.answers[q].reachable, expected)
               << DiffContext(kSeed, partitioner->name(), form, epoch,
                              batch[q]);
-          // Bit-identical to the BES path, including distance values above
-          // the bound (both report the min over segment-bounded routes).
+          // Bit-identical to the BES path: the distance within the bound,
+          // kInfWeight above it.
           ASSERT_EQ(indexed.answers[q].reachable, expected)
               << "dist index diverged: "
               << DiffContext(kSeed, partitioner->name(), form, epoch,
@@ -371,11 +241,10 @@ TEST(BoundaryDistDifferentialTest,
               << "dist index distance diverged: "
               << DiffContext(kSeed, partitioner->name(), form, epoch,
                              batch[q]);
-          if (expected) {
-            ASSERT_EQ(indexed.answers[q].distance, true_dist)
-                << DiffContext(kSeed, partitioner->name(), form, epoch,
-                               batch[q]);
-          }
+          ASSERT_EQ(indexed.answers[q].distance,
+                    expected ? true_dist : kInfWeight)
+              << DiffContext(kSeed, partitioner->name(), form, epoch,
+                             batch[q]);
         }
         index.AddEdges(world.AddRandomEdges(3, &rng));
       }
@@ -427,10 +296,49 @@ TEST(BoundaryDistDifferentialTest, UnreachablePairsAreInfinityOnBothPaths) {
   }
 }
 
+// The QueryAnswer::distance contract on every engine that fills it: a chain
+// one hop longer than the bound, crossing a fragment boundary at every hop,
+// is unreachable with distance kInfWeight on the BES path, the indexed path
+// and the ship-all engine; one hop more of bound reports the chain.
+TEST(BoundaryDistDifferentialTest, ChainOneHopPastTheBoundIsInfinite) {
+  constexpr size_t kSites = 3;
+  constexpr uint32_t kBound = 5;
+  const size_t n = kBound + 2;  // kBound + 1 hops from 0 to n - 1
+  std::vector<std::pair<NodeId, NodeId>> chain;
+  std::vector<SiteId> part(n);
+  for (NodeId v = 0; v < n; ++v) {
+    if (v + 1 < n) chain.emplace_back(v, v + 1);
+    part[v] = static_cast<SiteId>(v % kSites);
+  }
+  const Graph g = testing_util::MakeGraph(n, chain);
+  const Fragmentation frag = Fragmentation::Build(g, part, kSites);
+  Cluster cluster(&frag, NetworkModel{});
+  PartialEvalEngine bes_engine(&cluster);
+  PartialEvalOptions idx_options;
+  idx_options.dist_path = DistAnswerPath::kBoundaryIndex;
+  PartialEvalEngine idx_engine(&cluster, idx_options);
+  NaiveShipAllEngine ship_all(&cluster);
+
+  const NodeId s = 0;
+  const NodeId t = static_cast<NodeId>(n - 1);
+  for (QueryEngine* engine :
+       std::initializer_list<QueryEngine*>{&bes_engine, &idx_engine,
+                                           &ship_all}) {
+    SCOPED_TRACE(engine == &bes_engine   ? "bes"
+                 : engine == &idx_engine ? "indexed"
+                                         : "ship-all");
+    const QueryAnswer above = engine->Evaluate(Query::Dist(s, t, kBound));
+    EXPECT_FALSE(above.reachable);
+    EXPECT_EQ(above.distance, kInfWeight);
+    const QueryAnswer within = engine->Evaluate(Query::Dist(s, t, kBound + 1));
+    EXPECT_TRUE(within.reachable);
+    EXPECT_EQ(within.distance, kBound + 1);
+  }
+}
+
 // s == t is the trivial coordinator answer on both paths, and endpoints that
 // are themselves boundary nodes (in-nodes / virtual nodes) must agree with
-// the BES path and the oracle — the seeds then name standing graph nodes
-// directly (entry distance 0 / exit distance 0).
+// the BES path and the oracle.
 TEST(BoundaryDistDifferentialTest, SourceEqualsTargetAndBoundaryEndpoints) {
   Rng rng(929);
   const size_t n = 70, kSites = 4;
@@ -475,15 +383,14 @@ TEST(BoundaryDistDifferentialTest, SourceEqualsTargetAndBoundaryEndpoints) {
                                           << " bound=" << q.bound;
     ASSERT_EQ(idx.reachable, bes.reachable) << "s=" << s << " t=" << t;
     const uint64_t true_dist = OracleDistance(oracle, s, t);
-    if (true_dist != kInfWeight && true_dist <= q.bound) {
-      ASSERT_EQ(idx.distance, true_dist) << "s=" << s << " t=" << t;
-    }
+    ASSERT_EQ(idx.distance, true_dist <= q.bound ? true_dist : kInfWeight)
+        << "s=" << s << " t=" << t;
   }
 }
 
-// Degenerate fragmentations: a single site (no boundary graph at all, the
-// local short-circuit answers everything) and as many sites as nodes
-// (every node is boundary, every local segment is one cross edge).
+// Degenerate fragmentations: a single site (no boundary at all, the one
+// local graph answers everything) and as many sites as nodes (every node is
+// boundary, every edge a cross edge).
 TEST(BoundaryDistDifferentialTest, DegenerateFragmentCounts) {
   Rng rng(18);
   const size_t n = 30;
@@ -508,10 +415,8 @@ TEST(BoundaryDistDifferentialTest, DegenerateFragmentCounts) {
       const uint64_t true_dist = OracleDistance(g, s, t);
       ASSERT_EQ(idx.reachable, true_dist != kInfWeight && true_dist <= bound)
           << "k=" << k << " s=" << s << " t=" << t << " bound=" << bound;
-      if (idx.reachable) {
-        ASSERT_EQ(idx.distance, true_dist) << "k=" << k << " s=" << s
-                                           << " t=" << t;
-      }
+      ASSERT_EQ(idx.distance, idx.reachable ? true_dist : kInfWeight)
+          << "k=" << k << " s=" << s << " t=" << t;
     }
   }
 }

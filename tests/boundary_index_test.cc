@@ -156,7 +156,8 @@ TEST(BoundaryReachIndexTest, HandBuiltGraphAnswersAndInvalidates) {
 
 // An endpoint's whole sweep frame is a flag byte plus its component id(s):
 // at most 1 + 2 * 5 varint bytes for every (s, t), whatever the boundary —
-// for reach, and for rpq over random automata (comp(s, u_s), comp(t, u_t)).
+// for reach, for dist at any bound (the local ids of s and t), and for rpq
+// over random automata (comp(s, u_s), comp(t, u_t)).
 TEST(BoundarySweepFrameTest, AtMostElevenBytesForEveryPair) {
   constexpr size_t kSites = 4, kLabels = 3;
   Rng rng(1213);
@@ -174,6 +175,7 @@ TEST(BoundarySweepFrameTest, AtMostElevenBytesForEveryPair) {
           QueryAutomaton::FromRegex(Regex::Random(4, kLabels, &rng)).value()));
     }
     size_t max_reach = 0;
+    size_t max_dist = 0;
     size_t max_rpq = 0;
     for (NodeId s = 0; s < n; ++s) {
       for (NodeId t = 0; t < n; ++t) {
@@ -183,6 +185,11 @@ TEST(BoundarySweepFrameTest, AtMostElevenBytesForEveryPair) {
           Encoder body;
           EncodeBoundarySweepFrame(f, &ctx, s, t, &body);
           max_reach = std::max(max_reach, body.size());
+          for (const uint32_t bound : {1u, 4u, kInfDistance}) {
+            Encoder dist;
+            EncodeDistSweepFrame(f, &ctx, s, t, bound, &dist);
+            max_dist = std::max(max_dist, dist.size());
+          }
           for (const CanonicalAutomaton& a : automata) {
             Encoder rpq;
             EncodeRpqSweepFrame(
@@ -194,6 +201,7 @@ TEST(BoundarySweepFrameTest, AtMostElevenBytesForEveryPair) {
       }
     }
     EXPECT_LE(max_reach, 11u);
+    EXPECT_LE(max_dist, 11u);
     EXPECT_LE(max_rpq, 11u);
   }
 }
@@ -366,14 +374,18 @@ TEST(BoundaryIndexDifferentialTest, MixedClassBatchesAgreeWithBes) {
     for (size_t q = 0; q < batch.size(); ++q) {
       const Query& query = batch[q];
       bool oracle = false;
+      uint64_t oracle_distance = kInfWeight;
       switch (query.kind) {
         case QueryKind::kReach:
           oracle = CentralizedReach(g, query.source, query.target);
           break;
-        case QueryKind::kDist:
-          oracle = CentralizedDistance(g, query.source, query.target) <=
-                   query.bound;
+        case QueryKind::kDist: {
+          const uint32_t d =
+              CentralizedDistance(g, query.source, query.target);
+          oracle = d <= query.bound;
+          if (oracle) oracle_distance = d;
           break;
+        }
         case QueryKind::kRpq:
           oracle = CentralizedRegularReach(g, query.source, query.target,
                                            *query.automaton);
@@ -387,6 +399,7 @@ TEST(BoundaryIndexDifferentialTest, MixedClassBatchesAgreeWithBes) {
         if (query.kind == QueryKind::kDist) {
           EXPECT_EQ(actual->answers[q].distance, expected.answers[q].distance)
               << warmth;
+          EXPECT_EQ(actual->answers[q].distance, oracle_distance) << warmth;
         }
       }
     }

@@ -90,48 +90,11 @@ TEST(FailureTest, CorruptedPartialAnswerAborts) {
   EXPECT_DEATH(ReachPartialAnswer::Deserialize(&dec), "CHECK failed");
 }
 
-// The weighted boundary rows decoder checks content, not only framing: a
-// row naming an oset index past its table, a row cut short and a byte after
-// the last row each fail a kStatus decode — the engine then rejects the
-// batch and keeps the site dirty — instead of indexing past a table in
-// BoundaryDistIndex::Ensure.
-TEST(FailureTest, WeightedRowsDecoderRejectsEveryBrokenInvariant) {
-  WeightedBoundaryRows rows;
-  rows.oset_globals = {3, 9};
-  rows.in_globals = {12, 25};
-  rows.offsets = {0, 1, 3};
-  rows.targets = {0, 1, 1};
-  rows.hops = {2, 1, 4};
-  Encoder enc;
-  rows.Serialize(&enc);
-  const std::vector<uint8_t> honest = enc.TakeBuffer();
-
-  std::vector<std::pair<std::string, std::vector<uint8_t>>> broken;
-  rows.targets.back() = 2;  // index 2 of a 2-entry table
-  Encoder past_table;
-  rows.Serialize(&past_table);
-  broken.emplace_back("target past the oset table", past_table.TakeBuffer());
-  broken.emplace_back("truncated row",
-                      std::vector<uint8_t>(honest.begin(), honest.end() - 1));
-  broken.emplace_back("trailing byte", honest);
-  broken.back().second.push_back(0);
-
-  for (const auto& [what, bytes] : broken) {
-    SCOPED_TRACE(what);
-    Decoder dec(bytes, Decoder::OnError::kStatus);
-    (void)WeightedBoundaryRows::Deserialize(&dec);
-    EXPECT_FALSE(dec.ok());
-    EXPECT_EQ(dec.status().code(), StatusCode::kCorruption);
-  }
-  Decoder dec(honest, Decoder::OnError::kStatus);
-  (void)WeightedBoundaryRows::Deserialize(&dec);
-  EXPECT_TRUE(dec.Done());
-}
-
-// The reach and rpq refresh rounds ship the same BoundaryRows, keyed by
-// node or by PackNodeState pair; its decoder checks content like the dist
-// rows decoder: a component id past the fragment's component count fails a
-// kStatus decode instead of CHECK-aborting the coordinator.
+// Every refresh round ships BoundaryRows: keyed by node for reach and
+// dist, by PackNodeState pair for rpq. Its decoder checks content, not only
+// framing: a component id past the fragment's component count fails a
+// kStatus decode — the engine then rejects the batch and keeps the site
+// dirty — instead of CHECK-aborting the coordinator.
 
 // Each edit leaves a BoundaryRows serializable but breaks one invariant its
 // decoder checks: every component id is below num_components().
@@ -362,47 +325,15 @@ struct Forgery {
 };
 
 /// A refresh reply for one index (one rows frame) with `edit` applied to
-/// its rows: WeightedBoundaryRows for dist, BoundaryRows for reach and rpq.
-template <typename Rows>
-PayloadEdit ForgeRows(void (*edit)(Rows*)) {
+/// its BoundaryRows.
+PayloadEdit ForgeRows(void (*edit)(BoundaryRows*)) {
   return [edit](std::vector<uint8_t>* payload) {
     Decoder dec(*payload);
     Decoder frame = dec.GetFrame();
-    Rows rows = Rows::Deserialize(&frame);
+    BoundaryRows rows = BoundaryRows::Deserialize(&frame);
     edit(&rows);
     Encoder body;
     rows.Serialize(&body);
-    Encoder reply;
-    reply.PutFrame(body.buffer());
-    *payload = reply.TakeBuffer();
-  };
-}
-
-void IndexPastTable(WeightedBoundaryRows* rows) {
-  ASSERT_FALSE(rows->in_globals.empty());
-  rows->targets.push_back(static_cast<uint32_t>(rows->oset_globals.size()));
-  rows->hops.push_back(1);
-  ++rows->offsets.back();
-}
-
-using Pairs = std::vector<std::pair<uint64_t, uint64_t>>;
-
-/// A one-query dist sweep reply holding both lists: (oset index delta,
-/// hops) pairs on the s-side, (global id, hops) pairs on the t-side.
-PayloadEdit ForgeSweep(const Pairs& s_out, const Pairs& t_in,
-                       std::optional<uint64_t> local = std::nullopt) {
-  return [=](std::vector<uint8_t>* payload) {
-    Encoder body;
-    body.PutU8(kFrameHasS | kFrameHasT |
-               (local.has_value() ? kFrameHasLocalDist : 0));
-    if (local.has_value()) body.PutVarint(*local);
-    for (const Pairs& list : {s_out, t_in}) {
-      body.PutVarint(list.size());
-      for (const auto& [a, b] : list) {
-        body.PutVarint(a);
-        body.PutVarint(b);
-      }
-    }
     Encoder reply;
     reply.PutFrame(body.buffer());
     *payload = reply.TakeBuffer();
@@ -588,76 +519,6 @@ TEST(TransportFailureTest, StopDuringHungRoundDrainsCleanly) {
   }
 }
 
-// The dist index path checks reply CONTENT, not only framing. Site 2 sends
-// CRC-valid but forged replies: refresh rows with an oset index past the
-// table, then sweep frames with entries that are no in-node (the
-// coordinator's search CHECK-aborts on those),
-// and with hop counts and a local distance above the query bound. Each
-// forged reply rejects its batch with Corruption; a rejected refresh keeps
-// the site dirty, so the next batch asks it again; once the site answers
-// honestly, the same query is served correctly.
-TEST(TransportFailureTest, ForgedDistRepliesRejectBatchesNotProcess) {
-  const PaperExample ex = MakePaperExample();
-  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
-  // Both endpoints are stored at site 2, so it alone joins the sweep
-  // rounds. Pat -> Jack -> Mat -> Fred -> Emmy -> Ross -> Mark: 6 hops.
-  constexpr uint32_t kBound = 8;
-  const std::vector<Query> batch = {Query::Dist(ex.pat, ex.mark, kBound)};
-  ASSERT_EQ(frag.site_of(ex.pat), 2u);
-  ASSERT_EQ(frag.site_of(ex.mark), 2u);
-
-  // Pat's one exit (Jack, oset index 0, 1 hop) is genuine, so the search
-  // runs and would seed from a forged entry.
-  const Pairs pat_exit = {{0, 1}};
-  const Pairs none;
-  constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
-  constexpr RoundKind kRows = RoundKind::kIndexRows;
-  constexpr RoundKind kSweep = RoundKind::kIndexSweep;
-  std::vector<Forgery> forgeries;
-  forgeries.push_back({kRows, ForgeRows(IndexPastTable)});
-  forgeries.push_back({kSweep, ForgeSweep(pat_exit, {{ex.tom, 1}})});
-  forgeries.push_back({kSweep, ForgeSweep(pat_exit, {{kNoSuchId, 1}})});
-  forgeries.push_back({kSweep, ForgeSweep(none, {{ex.ross, kBound + 1}})});
-  forgeries.push_back({kSweep, ForgeSweep({{0, kBound + 1}}, none)});
-  forgeries.push_back({kSweep, ForgeSweep(none, none, kBound + 1)});
-  std::atomic<size_t> applied{0};
-
-  FakeWorkers workers(3);
-  workers.ServeHealthy(0);
-  workers.ServeHealthy(1);
-  workers.Run([&] {
-    const int fd = workers.Accept(2);
-    if (fd < 0) return;
-    ServeTampered(fd, [&](RoundKind kind, std::vector<uint8_t>* payload) {
-      const size_t next = applied.load();
-      if (next < forgeries.size() && forgeries[next].kind == kind) {
-        forgeries[next].apply(payload);
-        applied.store(next + 1);
-      }
-    });
-  });
-
-  {
-    Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
-                    ConnectOptions(workers));
-    PartialEvalOptions options;
-    options.dist_path = DistAnswerPath::kBoundaryIndex;
-    PartialEvalEngine engine(&cluster, options);
-    for (size_t i = 0; i < forgeries.size(); ++i) {
-      const BatchAnswer rejected = engine.EvaluateBatch(batch);
-      ASSERT_FALSE(rejected.status.ok()) << "forgery " << i;
-      EXPECT_EQ(rejected.status.code(), StatusCode::kCorruption)
-          << "forgery " << i << ": " << rejected.status.ToString();
-      EXPECT_EQ(applied.load(), i + 1) << "forgery " << i << " never sent";
-    }
-    const BatchAnswer served = engine.EvaluateBatch(batch);
-    ASSERT_TRUE(served.status.ok()) << served.status.ToString();
-    EXPECT_TRUE(served.answers[0].reachable);
-    EXPECT_EQ(served.answers[0].distance,
-              BfsDistance(ex.graph, ex.pat, ex.mark));
-  }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
-}
-
 /// Serves sites 0 and 1 with the real worker loop and site 2 through
 /// `forgeries`, one per matching round in order; `applied` counts the ones
 /// sent.
@@ -679,13 +540,15 @@ void ServeForgeries(FakeWorkers* workers, const std::vector<Forgery>* forgeries,
 }
 
 /// Runs `batch` once per forgery — each must be rejected with Corruption
-/// after its forgery went out — then once more, served correctly.
+/// after its forgery went out — then once more, served correctly: its one
+/// query reachable, a dist query at `distance`.
 void ExpectForgeriesRejected(const Fragmentation& frag,
                              const FakeWorkers& workers,
                              const PartialEvalOptions& options,
                              const std::vector<Query>& batch,
                              size_t num_forgeries,
-                             const std::atomic<size_t>& applied) {
+                             const std::atomic<size_t>& applied,
+                             uint64_t distance = kInfWeight) {
   Cluster cluster(&frag, NetworkModel(), /*num_threads=*/3,
                   ConnectOptions(workers));
   PartialEvalEngine engine(&cluster, options);
@@ -699,20 +562,25 @@ void ExpectForgeriesRejected(const Fragmentation& frag,
   const BatchAnswer served = engine.EvaluateBatch(batch);
   ASSERT_TRUE(served.status.ok()) << served.status.ToString();
   EXPECT_TRUE(served.answers[0].reachable);
+  if (batch[0].kind == QueryKind::kDist) {
+    EXPECT_EQ(served.answers[0].distance, distance);
+  }
 }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
 
-/// A one-query reach or rpq sweep reply: the honest frame holding both
-/// endpoints, with its t-side component id replaced by `comp`.
-PayloadEdit ReplaceReachTComponent(uint64_t comp) {
-  return [comp](std::vector<uint8_t>* payload) {
+/// A one-query sweep reply: the honest endpoint frame holding both
+/// endpoints, with `clear` cleared from its flag byte and, if `comp` is
+/// given, its t-side component id replaced by `comp`.
+PayloadEdit ForgeEndpointFrame(uint8_t clear, std::optional<uint64_t> comp) {
+  return [clear, comp](std::vector<uint8_t>* payload) {
     Decoder dec(*payload);
     Decoder frame = dec.GetFrame();
     const uint8_t flags = frame.GetU8();
     ASSERT_EQ(flags, kFrameHasS | kFrameHasT);
     Encoder body;
-    body.PutU8(flags);
+    body.PutU8(static_cast<uint8_t>(flags & ~clear));
     body.PutVarint(frame.GetVarint());  // s-side component
-    body.PutVarint(comp);
+    const uint64_t t_comp = frame.GetVarint();
+    body.PutVarint(comp.value_or(t_comp));
     Encoder reply;
     reply.PutFrame(body.buffer());
     *payload = reply.TakeBuffer();
@@ -741,9 +609,9 @@ TEST(TransportFailureTest, ForgedReachRepliesRejectBatchesNotProcess) {
     forgeries.push_back({RoundKind::kIndexRows, ForgeRows(edit)});
   }
   forgeries.push_back(
-      {RoundKind::kIndexSweep, ReplaceReachTComponent(installed)});
+      {RoundKind::kIndexSweep, ForgeEndpointFrame(0, installed)});
   forgeries.push_back(
-      {RoundKind::kIndexSweep, ReplaceReachTComponent(kNoSuchId)});
+      {RoundKind::kIndexSweep, ForgeEndpointFrame(0, kNoSuchId)});
   std::atomic<size_t> applied{0};
 
   FakeWorkers workers(3);
@@ -752,6 +620,44 @@ TEST(TransportFailureTest, ForgedReachRepliesRejectBatchesNotProcess) {
   options.reach_path = ReachAnswerPath::kBoundaryIndex;
   ExpectForgeriesRejected(frag, workers, options, batch, forgeries.size(),
                           applied);
+}
+
+// The dist index path checks reply content like its reach twin: refresh
+// rows naming a component past the fragment's count, sweep node ids past
+// the installed count or no NodeId at all (the search CHECK-aborts on
+// those), and a frame missing its s-side or t-side flag each reject their
+// batch with Corruption. A rejected refresh keeps the site dirty, so the
+// next batch asks it again; the same query is then served with its
+// distance.
+TEST(TransportFailureTest, ForgedDistRepliesRejectBatchesNotProcess) {
+  const PaperExample ex = MakePaperExample();
+  const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
+  // Both endpoints are stored at site 2, so it alone joins the sweep
+  // rounds. Pat -> Jack -> Mat -> Fred -> Emmy -> Ross -> Mark: 6 hops.
+  const std::vector<Query> batch = {Query::Dist(ex.pat, ex.mark, 8)};
+  ASSERT_EQ(frag.site_of(ex.pat), 2u);
+  ASSERT_EQ(frag.site_of(ex.mark), 2u);
+
+  // The dist rows are the local graph: one component per local node.
+  const uint64_t installed = frag.fragment(2).local_graph().NumNodes();
+  constexpr uint64_t kNoSuchId = uint64_t{1} << 40;  // not even a NodeId
+  constexpr RoundKind kSweep = RoundKind::kIndexSweep;
+  std::vector<Forgery> forgeries;
+  for (const ReachRowsEdit edit : ReachRowsEdits()) {
+    forgeries.push_back({RoundKind::kIndexRows, ForgeRows(edit)});
+  }
+  forgeries.push_back({kSweep, ForgeEndpointFrame(0, installed)});
+  forgeries.push_back({kSweep, ForgeEndpointFrame(0, kNoSuchId)});
+  forgeries.push_back({kSweep, ForgeEndpointFrame(kFrameHasS, std::nullopt)});
+  forgeries.push_back({kSweep, ForgeEndpointFrame(kFrameHasT, std::nullopt)});
+  std::atomic<size_t> applied{0};
+
+  FakeWorkers workers(3);
+  ServeForgeries(&workers, &forgeries, &applied);
+  PartialEvalOptions options;
+  options.dist_path = DistAnswerPath::kBoundaryIndex;
+  ExpectForgeriesRejected(frag, workers, options, batch, forgeries.size(),
+                          applied, BfsDistance(ex.graph, ex.pat, ex.mark));
 }
 
 /// Renames the first virtual node to Tom, who is no in-node anywhere.
@@ -789,16 +695,10 @@ TEST(TransportFailureTest, ForgedReachOsetTableCannotAbort) {
   }  // cluster shutdown unblocks the fake workers before ~FakeWorkers joins
 }
 
-/// Renames the first virtual node to Tom, who is no in-node anywhere.
-void NonBoundaryFirstDistOsetEntry(WeightedBoundaryRows* rows) {
-  ASSERT_FALSE(rows->oset_globals.empty());
-  rows->oset_globals.front() = 9;
-}
-
 // The dist twin of ForgedReachOsetTableCannotAbort: a forged oset table
-// passes every decode check, so an exit may name no in-node. Ensure()
-// resolves that entry to a dead end, and an exit through it seeds nothing,
-// so the search answers instead of aborting on a seed that is no node.
+// passes every decode check, so an edge into a virtual copy may have no
+// real copy to land on. Ensure() leaves it on the virtual copy, an
+// isolated node, so the search answers instead of aborting.
 TEST(TransportFailureTest, ForgedDistOsetTableCannotAbort) {
   const PaperExample ex = MakePaperExample();
   const Fragmentation frag = Fragmentation::Build(ex.graph, ex.partition, 3);
@@ -807,7 +707,7 @@ TEST(TransportFailureTest, ForgedDistOsetTableCannotAbort) {
             ex.jack);  // site 2's first virtual node, Pat's one exit
   std::vector<Forgery> forgeries;
   forgeries.push_back(
-      {RoundKind::kIndexRows, ForgeRows(NonBoundaryFirstDistOsetEntry)});
+      {RoundKind::kIndexRows, ForgeRows(NonBoundaryFirstOsetEntry)});
   std::atomic<size_t> applied{0};
 
   FakeWorkers workers(3);
@@ -849,9 +749,9 @@ TEST(TransportFailureTest, ForgedRpqRepliesRejectBatchesNotProcess) {
     forgeries.push_back({RoundKind::kIndexRows, ForgeRows(edit)});
   }
   forgeries.push_back(
-      {RoundKind::kIndexSweep, ReplaceReachTComponent(installed)});
+      {RoundKind::kIndexSweep, ForgeEndpointFrame(0, installed)});
   forgeries.push_back(
-      {RoundKind::kIndexSweep, ReplaceReachTComponent(kNoSuchId)});
+      {RoundKind::kIndexSweep, ForgeEndpointFrame(0, kNoSuchId)});
   std::atomic<size_t> applied{0};
 
   FakeWorkers workers(3);

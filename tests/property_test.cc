@@ -126,22 +126,20 @@ TEST(CrossClassPropertyTest, AllPathCombosMatchOracleAcrossMatrix) {
                 << DiffContext(kSeed, partitioner->name(), form, epoch,
                                batch[q]);
             if (batch[q].kind != QueryKind::kDist) continue;
-            // Dist answers must be bit-identical across paths (above-bound
-            // values included), and equal to the true distance when the
-            // bound admits it.
+            // Dist answers must be bit-identical across paths: the true
+            // distance when the bound admits it, kInfWeight above it.
             ASSERT_EQ(results[e].answers[q].distance,
                       reference.answers[q].distance)
                 << engine_names[e] << " vs reference: "
                 << DiffContext(kSeed, partitioner->name(), form, epoch,
                                batch[q]);
-            if (expected) {
-              ASSERT_EQ(
-                  results[e].answers[q].distance,
-                  OracleDistance(oracle, batch[q].source, batch[q].target))
-                  << engine_names[e] << " vs oracle distance: "
-                  << DiffContext(kSeed, partitioner->name(), form, epoch,
-                                 batch[q]);
-            }
+            ASSERT_EQ(results[e].answers[q].distance,
+                      expected ? OracleDistance(oracle, batch[q].source,
+                                                batch[q].target)
+                               : kInfWeight)
+                << engine_names[e] << " vs oracle distance: "
+                << DiffContext(kSeed, partitioner->name(), form, epoch,
+                               batch[q]);
           }
         }
 

@@ -427,9 +427,10 @@ TEST(QueryServerTest, BoundaryIndexServingMatchesOracleAcrossUpdatePhases) {
   EXPECT_EQ(server.epoch(), kPhases);
 }
 
-// The weighted-boundary-index serving path: dist dispatchers resolve through
-// the coordinator's standing min-plus graph under the read gate, so indexed
-// distances must stay oracle-exact (and epoch-stamped) across update phases.
+// The dist-index serving path: dist dispatchers resolve through the
+// coordinator's glued local graphs under the read gate, so indexed
+// distances must stay oracle-exact (and epoch-stamped) across update phases:
+// the distance within the bound, kInfWeight above it.
 TEST(QueryServerTest, BoundaryDistServingMatchesOracleAcrossUpdatePhases) {
   Rng rng(909);
   const size_t n = 80, k = 4;
@@ -462,10 +463,8 @@ TEST(QueryServerTest, BoundaryDistServingMatchesOracleAcrossUpdatePhases) {
           EXPECT_EQ(served.answer.reachable, expected)
               << "phase=" << phase << " s=" << s << " t=" << t
               << " bound=" << bound;
-          if (expected) {
-            EXPECT_EQ(served.answer.distance, d)
-                << "phase=" << phase << " s=" << s << " t=" << t;
-          }
+          EXPECT_EQ(served.answer.distance, expected ? d : kInfWeight)
+              << "phase=" << phase << " s=" << s << " t=" << t;
           EXPECT_EQ(served.epoch, phase);
         }
       });
